@@ -137,7 +137,7 @@ class ChainReplaySpam final : public net::Process {
   void on_round(net::Context& ctx, net::Inbox inbox) override {
     if (forged_.empty()) {
       for (const auto& env : inbox) {
-        Reader r(env.payload);
+        Reader r(env.payload.span());
         if (r.u8() != 0) continue;  // transport kDirect
         const Bytes body = r.bytes();
         if (!r.done()) continue;

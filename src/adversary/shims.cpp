@@ -19,15 +19,17 @@ namespace {
 // Frame marker for world-tagged traffic between conspirators.
 constexpr std::uint8_t kWorldTag = 0xB7;
 
-[[nodiscard]] Bytes wrap_world(int world, const Bytes& payload) {
+[[nodiscard]] Bytes wrap_world(int world, std::span<const std::uint8_t> payload) {
   Writer w;
+  w.reserve(1 + 1 + 4 + payload.size());
   w.u8(kWorldTag);
   w.u8(static_cast<std::uint8_t>(world));
   w.bytes(payload);
   return w.take();
 }
 
-[[nodiscard]] std::optional<std::pair<int, Bytes>> unwrap_world(const Bytes& payload) {
+[[nodiscard]] std::optional<std::pair<int, Bytes>> unwrap_world(
+    std::span<const std::uint8_t> payload) {
   Reader r(payload);
   if (r.u8() != kWorldTag) return std::nullopt;
   const int world = r.u8();
@@ -57,10 +59,9 @@ void SplitBrain::on_round(net::Context& ctx, net::Inbox inbox) {
   for (const auto& env : inbox) {
     if (env.from == ctx.self()) continue;  // own sends are kept in self_loop_
     if (conspirators_.contains(env.from)) {
-      if (auto unwrapped = unwrap_world(env.payload)) {
+      if (auto unwrapped = unwrap_world(env.payload.span())) {
         auto tagged = env;
         tagged.payload = std::move(unwrapped->second);
-        tagged.payload_digest = 0;  // digest covered the wrapped bytes
         world_inbox[unwrapped->first].push_back(std::move(tagged));
       }
       continue;

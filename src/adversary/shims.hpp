@@ -26,8 +26,8 @@ class FilteringContext final : public net::Context {
 
   FilteringContext(net::Context& base, SendFilter allow) : base_(&base), allow_(std::move(allow)) {}
 
-  void send(PartyId to, const Bytes& payload) override {
-    if (allow_(to, payload)) base_->send(to, payload);
+  void send(PartyId to, const net::Payload& payload) override {
+    if (allow_(to, payload.bytes())) base_->send(to, payload);
   }
   [[nodiscard]] Round round() const override { return base_->round(); }
   [[nodiscard]] PartyId self() const override { return base_->self(); }

@@ -26,9 +26,9 @@ void BBviaBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMs
     Bytes value = default_value_;
     for (const auto& msg : inbox) {
       if (msg.from != sender_) continue;
-      const auto kv = decode_kv(msg.body);
+      const auto kv = decode_kv_view(msg.body);
       if (kv && kv->kind == MsgKind::Input) {
-        value = kv->value;
+        value.assign(kv->value.begin(), kv->value.end());
         break;
       }
     }

@@ -9,15 +9,13 @@ namespace bsm::broadcast {
 
 namespace {
 
-struct ChainMsg {
-  Bytes value;
-  std::vector<PartyId> signers;
-  std::vector<crypto::Signature> sigs;
-};
+constexpr std::size_t kSignatureSize = 4 + 8;  ///< crypto::Signature: signer, tag
 
-[[nodiscard]] Bytes encode_chain(const Bytes& value, const std::vector<PartyId>& signers,
-                                 const std::vector<crypto::Signature>& sigs) {
+[[nodiscard]] Bytes encode_chain(std::span<const std::uint8_t> value,
+                                 std::span<const PartyId> signers,
+                                 std::span<const crypto::Signature> sigs) {
   Writer w;
+  w.reserve(1 + 4 + value.size() + 4 + signers.size() * (4 + kSignatureSize));
   w.u8(static_cast<std::uint8_t>(MsgKind::Chain));
   w.bytes(value);
   w.u32(static_cast<std::uint32_t>(signers.size()));
@@ -29,8 +27,9 @@ struct ChainMsg {
 }
 
 /// decode_chain of the seed implementation, into reused storage: accepts
-/// and rejects exactly the same inputs, allocates only on capacity growth.
-[[nodiscard]] bool decode_chain_into(const Bytes& body, ChainMsg& m) {
+/// and rejects exactly the same inputs, allocates only on capacity growth
+/// (`m.value` is a view into `body`).
+[[nodiscard]] bool decode_chain_into(std::span<const std::uint8_t> body, ChainMsg& m) {
   Reader r(body);
   if (r.u8() != static_cast<std::uint8_t>(MsgKind::Chain)) return false;
   const auto value = r.bytes_view();
@@ -43,8 +42,13 @@ struct ChainMsg {
     m.sigs.push_back(crypto::Signature::decode(r));
   }
   if (!r.done()) return false;
-  m.value.assign(value.begin(), value.end());
+  m.value = value;
   return true;
+}
+
+/// Encoded size of "dolev-strong" | channel | value, the signed-message prefix.
+[[nodiscard]] std::size_t prefix_size(std::size_t value_size) {
+  return 4 + 12 + 4 + 4 + value_size;
 }
 
 }  // namespace
@@ -56,9 +60,10 @@ DolevStrong::DolevStrong(PartyId sender, std::uint32_t t, Bytes input_if_sender,
       input_(std::move(input_if_sender)),
       use_verify_cache_(use_verify_cache) {}
 
-Bytes DolevStrong::chain_digest(std::uint32_t channel, const Bytes& value,
-                                const std::vector<PartyId>& prior_signers) {
+Bytes DolevStrong::chain_digest(std::uint32_t channel, std::span<const std::uint8_t> value,
+                                std::span<const PartyId> prior_signers) {
   Writer w;
+  w.reserve(prefix_size(value.size()) + 4 + 4 * prior_signers.size());
   w.str("dolev-strong");
   w.u32(channel);
   w.bytes(value);
@@ -66,28 +71,31 @@ Bytes DolevStrong::chain_digest(std::uint32_t channel, const Bytes& value,
   return w.take();
 }
 
-std::uint32_t DolevStrong::pool_index(std::uint32_t channel, const Bytes& value) {
+std::uint32_t DolevStrong::pool_index(std::uint32_t channel,
+                                      std::span<const std::uint8_t> value) {
   const std::uint64_t digest = fnv1a64(value);
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i].digest == digest && pool_[i].value == value) return i;
+    if (pool_[i].digest == digest && std::ranges::equal(pool_[i].value, value)) return i;
   }
   if (pool_.size() >= kMaxPooledValues) return kNotPooled;  // spam: don't retain
   Writer w;
+  w.reserve(prefix_size(value.size()));
   w.str("dolev-strong");
   w.u32(channel);
   w.bytes(value);
-  pool_.push_back(PooledValue{digest, value, w.take()});
+  pool_.push_back(PooledValue{digest, Bytes(value.begin(), value.end()), w.take()});
   return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-const Bytes& DolevStrong::signed_msg(std::uint32_t value_idx,
-                                     const std::vector<PartyId>& signers, std::uint32_t j) {
+const Bytes& DolevStrong::signed_msg(std::uint32_t value_idx, std::span<const PartyId> signers,
+                                     std::uint32_t j) {
   // Byte-identical to chain_digest(channel, value, signers[0..j)): the
   // pooled prefix already holds "dolev-strong" | channel | value, and
   // u32_vec is a count followed by the elements. The scratch keeps the
   // prefix of the last value in place and only rewrites the extension.
   if (scratch_value_ != value_idx) {
     msg_scratch_.truncate(0);
+    msg_scratch_.reserve(pool_[value_idx].prefix.size() + 4 + 4 * signers.size());
     msg_scratch_.raw(pool_[value_idx].prefix);
     scratch_prefix_len_ = msg_scratch_.size();
     scratch_value_ = value_idx;
@@ -103,20 +111,17 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     if (io.self() == sender_) {
       extracted_.push_back(input_);
       const auto sig = io.signer().sign(chain_digest(io.channel(), input_, {}));
-      io.broadcast(encode_chain(input_, {sender_}, {sig}));
+      io.broadcast(encode_chain(input_, std::span(&sender_, 1), std::span(&sig, 1)));
     }
     return;
   }
 
-  if (participants_.empty()) {
-    for (PartyId p : io.participants()) participants_.insert(p);
-  }
-  const auto already_extracted = [&](const Bytes& value) {
+  const auto already_extracted = [&](std::span<const std::uint8_t> value) {
     return std::any_of(extracted_.begin(), extracted_.end(),
-                       [&](const Bytes& v) { return v == value; });
+                       [&](const Bytes& v) { return std::ranges::equal(v, value); });
   };
 
-  ChainMsg chain;  // decode storage reused across the inbox
+  ChainMsg& chain = chain_;  // decode storage reused across steps
   for (const auto& msg : inbox) {
     if (extracted_.size() >= 2) break;  // equivocation already proven
     if (!decode_chain_into(msg.body, chain)) continue;
@@ -138,7 +143,7 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     bool valid = true;
     for (std::size_t j = 0; j < chain.signers.size() && valid; ++j) {
       const PartyId signer = chain.signers[j];
-      if (!participants_.contains(signer) || distinct_.contains(signer)) {
+      if (!io.participant_mask().contains(signer) || distinct_.contains(signer)) {
         valid = false;
         break;
       }
@@ -148,8 +153,7 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
         // Pool overflow (distinct-value spam): the seed's transient,
         // uncached path — same verification, nothing retained.
         ++verifies_;
-        const std::vector<PartyId> prior(chain.signers.begin(),
-                                         chain.signers.begin() + static_cast<std::ptrdiff_t>(j));
+        const std::span<const PartyId> prior(chain.signers.data(), j);
         valid = io.pki().verify(signer, chain_digest(io.channel(), chain.value, prior), sig);
         continue;
       }
@@ -176,7 +180,7 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
     }
     if (!valid) continue;
 
-    extracted_.push_back(chain.value);
+    extracted_.emplace_back(chain.value.begin(), chain.value.end());
     if (s <= t_ && !distinct_.contains(io.self())) {
       // Relay = the received frame with the count bumped and our
       // countersignature appended; byte-identical to re-encoding the
@@ -185,7 +189,9 @@ void DolevStrong::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
           pooled ? signed_msg(value_idx, chain.signers,
                               static_cast<std::uint32_t>(chain.signers.size()))
                  : chain_digest(io.channel(), chain.value, chain.signers));
-      Bytes out = msg.body;
+      Bytes& out = relay_scratch_;
+      out.reserve(msg.body.size() + 4 + kSignatureSize);
+      out.assign(msg.body.begin(), msg.body.end());
       const std::size_t count_off = 1 + 4 + chain.value.size();
       store_u32_le(out, count_off, static_cast<std::uint32_t>(chain.signers.size()) + 1);
       append_u32_le(out, io.self());

@@ -21,6 +21,7 @@
 // messages are sent, byte for byte, as the seed implementation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "broadcast/instance.hpp"
@@ -29,6 +30,13 @@
 #include "crypto/pki.hpp"
 
 namespace bsm::broadcast {
+
+/// A decoded Dolev-Strong chain message: `value` views the message body.
+struct ChainMsg {
+  std::span<const std::uint8_t> value;
+  std::vector<PartyId> signers;
+  std::vector<crypto::Signature> sigs;
+};
 
 class DolevStrong final : public Instance {
  public:
@@ -49,8 +57,9 @@ class DolevStrong final : public Instance {
 
  private:
   /// Digest signed by the j-th chain member: the value plus all prior signers.
-  [[nodiscard]] static Bytes chain_digest(std::uint32_t channel, const Bytes& value,
-                                          const std::vector<PartyId>& prior_signers);
+  [[nodiscard]] static Bytes chain_digest(std::uint32_t channel,
+                                          std::span<const std::uint8_t> value,
+                                          std::span<const PartyId> prior_signers);
 
   /// Distinct values pooled (and thus verify-cached) per instance. Honest
   /// executions see at most two; the cap bounds the memory and the linear
@@ -63,13 +72,14 @@ class DolevStrong final : public Instance {
   /// disambiguated by full-bytes equality); creates the entry — and its
   /// encoded (channel, value) scratch prefix — on first sight. kNotPooled
   /// when the pool is full and the value is not already in it.
-  [[nodiscard]] std::uint32_t pool_index(std::uint32_t channel, const Bytes& value);
+  [[nodiscard]] std::uint32_t pool_index(std::uint32_t channel,
+                                         std::span<const std::uint8_t> value);
 
   /// Scratch-encode the message signed at position j of a chain over the
   /// pooled value: the cached prefix re-extended in place (Writer::
   /// truncate) with u32_vec(signers[0..j)). Returns the buffer.
   [[nodiscard]] const Bytes& signed_msg(std::uint32_t value_idx,
-                                        const std::vector<PartyId>& signers, std::uint32_t j);
+                                        std::span<const PartyId> signers, std::uint32_t j);
 
   PartyId sender_;
   std::uint32_t t_;
@@ -84,9 +94,11 @@ class DolevStrong final : public Instance {
   };
   std::vector<PooledValue> pool_;
 
+  ChainMsg chain_;       ///< decode storage, reused across messages and steps
+  Bytes relay_scratch_;  ///< relayed-chain frame, copied out by io.broadcast
+
   VerifiedChainCache cache_;
-  core::PartySet participants_;  ///< bitset of io.participants(), built on first use
-  core::PartySet distinct_;      ///< per-message scratch
+  core::PartySet distinct_;  ///< per-message scratch
   Writer msg_scratch_;           ///< signed-message encode buffer (prefix + extension)
   std::uint32_t scratch_value_ = kNotPooled;  ///< value whose prefix msg_scratch_ holds
   std::size_t scratch_prefix_len_ = 0;

@@ -6,14 +6,19 @@
 namespace bsm::broadcast {
 
 InstanceIo::InstanceIo(InstanceHub& hub, net::Context& ctx, std::uint32_t channel,
-                       const std::vector<PartyId>& participants)
-    : hub_(&hub), ctx_(&ctx), channel_(channel), participants_(&participants) {}
+                       const std::vector<PartyId>& participants,
+                       const core::PartySet& participant_mask)
+    : hub_(&hub),
+      ctx_(&ctx),
+      channel_(channel),
+      participants_(&participants),
+      participant_mask_(&participant_mask) {}
 
-void InstanceIo::send(PartyId to, const Bytes& inner) {
+void InstanceIo::send(PartyId to, std::span<const std::uint8_t> inner) {
   hub_->send_on_channel(*ctx_, channel_, to, inner);
 }
 
-void InstanceIo::broadcast(const Bytes& inner) {
+void InstanceIo::broadcast(std::span<const std::uint8_t> inner) {
   hub_->broadcast_on_channel(*ctx_, channel_, *participants_, inner);
 }
 
@@ -38,6 +43,8 @@ void InstanceHub::add_instance(std::uint32_t channel, Round base,
   entry->base = base;
   entry->participants = std::move(participants);
   for (PartyId p : entry->participants) entry->participant_mask.insert(p);
+  // Honest traffic is at most about one message per participant per step.
+  entry->buffer.reserve(entry->participants.size());
   entry->instance = std::move(instance);
   entries_[channel] = std::move(entry);
 }
@@ -56,27 +63,30 @@ std::vector<net::AppMsg> InstanceHub::take_mailbox(std::uint32_t channel) {
   return std::exchange(*mailboxes_[channel], {});
 }
 
+const Bytes& InstanceHub::channel_frame(std::uint32_t channel,
+                                       std::span<const std::uint8_t> inner) {
+  frame_.truncate(0);
+  frame_.reserve(4 + 4 + inner.size());
+  frame_.u32(channel);
+  frame_.bytes(inner);
+  return frame_.data();
+}
+
 void InstanceHub::send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to,
-                                  const Bytes& inner) {
-  Writer w;
-  w.u32(channel);
-  w.bytes(inner);
-  router_.send(ctx, to, w.data());
+                                  std::span<const std::uint8_t> inner) {
+  router_.send(ctx, to, channel_frame(channel, inner));
 }
 
 void InstanceHub::broadcast_on_channel(net::Context& ctx, std::uint32_t channel,
                                        const std::vector<PartyId>& participants,
-                                       const Bytes& inner) {
+                                       std::span<const std::uint8_t> inner) {
   // One frame encode for the whole broadcast; recipients receive the same
   // bytes in the same order as the per-recipient encode they replace.
-  Writer w;
-  w.u32(channel);
-  w.bytes(inner);
-  router_.broadcast(ctx, participants, w.data());
+  router_.broadcast(ctx, participants, channel_frame(channel, inner));
 }
 
 void InstanceHub::send_raw(net::Context& ctx, std::uint32_t channel, PartyId to,
-                           const Bytes& body) {
+                           std::span<const std::uint8_t> body) {
   send_on_channel(ctx, channel, to, body);
 }
 
@@ -84,19 +94,16 @@ void InstanceHub::ingest(net::Context& ctx, net::Inbox inbox) {
   for (net::AppMsg& msg : router_.route(ctx, inbox)) {
     Reader r(msg.body);
     const std::uint32_t channel = r.u32();
-    (void)r.bytes_view();
+    const auto inner = r.bytes_view();
     if (!r.done()) continue;  // malformed frame: drop
-
-    // Strip the 8-byte frame header (u32 channel + u32 length) in place —
-    // a memmove on the buffer we already own instead of a fresh copy.
-    msg.body.erase(msg.body.begin(), msg.body.begin() + 8);
+    msg.body = inner;  // strip the channel frame: narrow the view, copy nothing
 
     if (Entry* entry = entry_at(channel); entry != nullptr) {
       // Only participants may speak on an instance's channel.
       if (!entry->participant_mask.contains(msg.from)) continue;
-      entry->buffer.push_back(net::AppMsg{msg.from, std::move(msg.body)});
+      entry->buffer.push_back(std::move(msg));
     } else if (channel < mailboxes_.size() && mailboxes_[channel] != nullptr) {
-      mailboxes_[channel]->push_back(net::AppMsg{msg.from, std::move(msg.body)});
+      mailboxes_[channel]->push_back(std::move(msg));
     }
     // Unknown channel: drop.
   }
@@ -109,10 +116,15 @@ void InstanceHub::step_due(net::Context& ctx) {
     if (entry == nullptr) continue;
     if (now < entry->base || (now - entry->base) % stride_ != 0) continue;
     const std::uint32_t s = (now - entry->base) / stride_;
-    std::vector<net::AppMsg> inbox = std::exchange(entry->buffer, {});
-    if (entry->instance->done() || s > entry->instance->duration()) continue;
-    InstanceIo io(*this, ctx, channel, entry->participants);
-    entry->instance->step(io, s, inbox);
+    // Hand the buffer over by swapping with the (empty) step scratch: the
+    // entry keeps a buffer with capacity for the next round's arrivals,
+    // and the messages are released right after the step.
+    std::swap(step_inbox_, entry->buffer);
+    if (!entry->instance->done() && s <= entry->instance->duration()) {
+      InstanceIo io(*this, ctx, channel, entry->participants, entry->participant_mask);
+      entry->instance->step(io, s, step_inbox_);
+    }
+    step_inbox_.clear();
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -33,15 +34,18 @@ class InstanceHub;
 class InstanceIo {
  public:
   InstanceIo(InstanceHub& hub, net::Context& ctx, std::uint32_t channel,
-             const std::vector<PartyId>& participants);
+             const std::vector<PartyId>& participants,
+             const core::PartySet& participant_mask);
 
   /// Send to one participant (virtual channels transparently relayed).
-  void send(PartyId to, const Bytes& inner);
+  void send(PartyId to, std::span<const std::uint8_t> inner);
   /// Send to every participant, self included.
-  void broadcast(const Bytes& inner);
+  void broadcast(std::span<const std::uint8_t> inner);
 
   [[nodiscard]] PartyId self() const;
   [[nodiscard]] const std::vector<PartyId>& participants() const { return *participants_; }
+  /// The same participants as a bitset (O(1) membership tests).
+  [[nodiscard]] const core::PartySet& participant_mask() const { return *participant_mask_; }
   [[nodiscard]] std::uint32_t channel() const noexcept { return channel_; }
   [[nodiscard]] const crypto::Signer& signer() const;
   [[nodiscard]] const crypto::Pki& pki() const;
@@ -51,6 +55,7 @@ class InstanceIo {
   net::Context* ctx_;
   std::uint32_t channel_;
   const std::vector<PartyId>* participants_;
+  const core::PartySet* participant_mask_;
 };
 
 /// A protocol-step state machine with a fixed, publicly known duration.
@@ -59,7 +64,9 @@ class Instance {
   virtual ~Instance() = default;
 
   /// Called once per protocol step s = 0, 1, ..., duration(); `inbox` holds
-  /// the instance's messages that arrived since the previous step.
+  /// the instance's messages that arrived since the previous step. Each
+  /// message keeps its own bytes alive; the vector is only lent for the
+  /// call.
   virtual void step(InstanceIo& io, std::uint32_t s, const std::vector<net::AppMsg>& inbox) = 0;
 
   /// The step index at which this instance decides (inclusive).
@@ -93,7 +100,9 @@ class InstanceHub {
   void add_mailbox(std::uint32_t channel);
   [[nodiscard]] std::vector<net::AppMsg> take_mailbox(std::uint32_t channel);
 
-  /// Round phase 1: route the physical inbox, buffer per channel.
+  /// Round phase 1: route the physical inbox, buffer per channel. Buffered
+  /// messages are views into the received payloads (the channel header
+  /// stripped by narrowing the view), which they keep alive until stepped.
   void ingest(net::Context& ctx, net::Inbox inbox);
   /// Round phase 2: step every instance due at the current round.
   void step_due(net::Context& ctx);
@@ -105,7 +114,8 @@ class InstanceHub {
   [[nodiscard]] std::uint32_t stride() const noexcept { return stride_; }
 
   /// Send control traffic on a raw channel.
-  void send_raw(net::Context& ctx, std::uint32_t channel, PartyId to, const Bytes& body);
+  void send_raw(net::Context& ctx, std::uint32_t channel, PartyId to,
+                std::span<const std::uint8_t> body);
 
   /// Engine round at which an instance with the given base reaches step s.
   [[nodiscard]] Round round_of_step(Round base, std::uint32_t s) const {
@@ -114,10 +124,16 @@ class InstanceHub {
 
  private:
   friend class InstanceIo;
-  void send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to, const Bytes& inner);
+  void send_on_channel(net::Context& ctx, std::uint32_t channel, PartyId to,
+                       std::span<const std::uint8_t> inner);
   /// Encode the channel frame once and send it to every participant.
   void broadcast_on_channel(net::Context& ctx, std::uint32_t channel,
-                            const std::vector<PartyId>& participants, const Bytes& inner);
+                            const std::vector<PartyId>& participants,
+                            std::span<const std::uint8_t> inner);
+  /// [u32 channel][u32 len][inner] in the hub's scratch buffer; the router
+  /// copies it into its transport frame, so the scratch is reused.
+  [[nodiscard]] const Bytes& channel_frame(std::uint32_t channel,
+                                           std::span<const std::uint8_t> inner);
 
   struct Entry {
     Round base = 0;
@@ -143,6 +159,8 @@ class InstanceHub {
   // the old std::map stepping order exactly.
   std::vector<std::unique_ptr<Entry>> entries_;
   std::vector<std::unique_ptr<std::vector<net::AppMsg>>> mailboxes_;
+  Writer frame_;                         ///< channel-frame scratch, reused per send
+  std::vector<net::AppMsg> step_inbox_;  ///< swapped with each due buffer, keeps capacity
 };
 
 }  // namespace bsm::broadcast

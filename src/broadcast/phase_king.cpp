@@ -23,9 +23,9 @@ void PhaseKingBA::step(InstanceIo& io, std::uint32_t s, const std::vector<net::A
       const PartyId king = king_of(io.participants(), s / 3 - 1);
       for (const auto& msg : inbox) {
         if (msg.from != king) continue;
-        const auto kv = decode_kv(msg.body);
+        const auto kv = decode_kv_view(msg.body);
         if (!kv || kv->kind != MsgKind::King) continue;
-        if (!strong_) v_ = kv->value;
+        if (!strong_) v_.assign(kv->value.begin(), kv->value.end());
         break;
       }
       // A missing king message (omission, or silent byzantine king) leaves

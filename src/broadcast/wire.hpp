@@ -20,8 +20,9 @@ enum class MsgKind : std::uint8_t {
 };
 
 /// Encode {kind, value} — the common shape of phase-king traffic.
-[[nodiscard]] inline Bytes encode_kv(MsgKind kind, const Bytes& value) {
+[[nodiscard]] inline Bytes encode_kv(MsgKind kind, std::span<const std::uint8_t> value) {
   Writer w;
+  w.reserve(1 + 4 + value.size());
   w.u8(static_cast<std::uint8_t>(kind));
   w.bytes(value);
   return w.take();
@@ -33,7 +34,7 @@ struct KvMsg {
 };
 
 /// Decode {kind, value}; nullopt on malformed input.
-[[nodiscard]] inline std::optional<KvMsg> decode_kv(const Bytes& body) {
+[[nodiscard]] inline std::optional<KvMsg> decode_kv(std::span<const std::uint8_t> body) {
   Reader r(body);
   const auto kind = r.u8();
   Bytes value = r.bytes();
@@ -51,7 +52,7 @@ struct KvView {
 
 /// Decode {kind, value} as a view; accepts and rejects exactly the same
 /// inputs as decode_kv (the tally differential tests rely on it).
-[[nodiscard]] inline std::optional<KvView> decode_kv_view(const Bytes& body) {
+[[nodiscard]] inline std::optional<KvView> decode_kv_view(std::span<const std::uint8_t> body) {
   Reader r(body);
   const auto kind = r.u8();
   const auto value = r.bytes_view();

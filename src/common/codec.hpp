@@ -55,10 +55,15 @@ class Writer {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void bytes(const Bytes& b);          ///< u32 length prefix + raw bytes
-  void raw(const Bytes& b);            ///< raw bytes, no prefix
-  void u32_vec(const std::vector<std::uint32_t>& v);
+  void bytes(std::span<const std::uint8_t> b);  ///< u32 length prefix + raw bytes
+  void raw(std::span<const std::uint8_t> b);    ///< raw bytes, no prefix
+  void u32_vec(std::span<const std::uint32_t> v);
   void str(const std::string& s);
+
+  /// Reserve room for `n` bytes in total. Encoders that know their exact
+  /// size call this once up front, so the buffer is allocated once instead
+  /// of growing (and reallocating) field by field.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] const Bytes& data() const noexcept { return buf_; }
   [[nodiscard]] Bytes take() noexcept { return std::move(buf_); }
@@ -77,13 +82,13 @@ class Writer {
 /// Non-throwing deserializer over a borrowed buffer.
 class Reader {
  public:
-  explicit Reader(const Bytes& b) noexcept : buf_(&b) {}
+  explicit Reader(std::span<const std::uint8_t> b) noexcept : buf_(b) {}
 
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] Bytes bytes();
-  /// Like bytes(), but a borrowed view into the buffer — no allocation.
+  /// Like bytes(), but a borrowed subspan of the buffer — no allocation.
   /// Valid only while the underlying buffer is alive and unmodified.
   [[nodiscard]] std::span<const std::uint8_t> bytes_view();
   [[nodiscard]] std::vector<std::uint32_t> u32_vec();
@@ -92,12 +97,12 @@ class Reader {
   /// True iff no read so far ran past the end of the buffer.
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   /// True iff the whole buffer was consumed and all reads succeeded.
-  [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_->size(); }
+  [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_.size(); }
 
  private:
   [[nodiscard]] bool take(std::size_t n) noexcept;
 
-  const Bytes* buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };

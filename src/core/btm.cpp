@@ -12,14 +12,13 @@ namespace {
 [[nodiscard]] std::unique_ptr<broadcast::Instance> make_bb(const BsmConfig& cfg, BbKind bb,
                                                            PartyId sender,
                                                            const Bytes& input_if_sender) {
-  const Side sender_side = side_of(sender, cfg.k);
-  Bytes def =
-      matching::encode_preference_list(matching::default_preference_list(sender_side, cfg.k));
-
   if (bb == BbKind::DolevStrong) {
     return std::make_unique<broadcast::DolevStrong>(sender, cfg.tl + cfg.tr, input_if_sender);
   }
 
+  // Only the BA-based broadcast falls back to the publicly known default.
+  Bytes def = matching::encode_preference_list(
+      matching::default_preference_list(side_of(sender, cfg.k), cfg.k));
   auto quorums = std::make_shared<const broadcast::ProductQuorums>(cfg.k, cfg.tl, cfg.tr);
   const std::uint32_t ba_duration = 3 * quorums->num_phases();
   return std::make_unique<broadcast::BBviaBA>(

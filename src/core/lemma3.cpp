@@ -21,8 +21,9 @@ constexpr std::uint8_t kFrameTag = 0xD3;
   return d - 1;
 }
 
-[[nodiscard]] Bytes wrap(PartyId from_big, PartyId to_big, const Bytes& payload) {
+[[nodiscard]] Bytes wrap(PartyId from_big, PartyId to_big, std::span<const std::uint8_t> payload) {
   Writer w;
+  w.reserve(1 + 4 + 4 + 4 + payload.size());
   w.u8(kFrameTag);
   w.u32(from_big);
   w.u32(to_big);
@@ -36,7 +37,7 @@ struct Frame {
   Bytes payload;
 };
 
-[[nodiscard]] std::optional<Frame> unwrap(const Bytes& bytes) {
+[[nodiscard]] std::optional<Frame> unwrap(std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   if (r.u8() != kFrameTag) return std::nullopt;
   Frame f;
@@ -51,14 +52,14 @@ struct Frame {
 /// topology, big PKI, with sends routed back through the simulator.
 class BigContext final : public net::Context {
  public:
-  using SendFn = std::function<void(PartyId, const Bytes&)>;
+  using SendFn = std::function<void(PartyId, const net::Payload&)>;
 
   BigContext(PartyId self_big, Round round, const net::Topology& topo, const crypto::Pki& pki,
              SendFn send)
       : self_(self_big), round_(round), topo_(&topo), pki_(&pki),
         signer_(pki.signer_for(self_big)), send_(std::move(send)) {}
 
-  void send(PartyId to, const Bytes& payload) override {
+  void send(PartyId to, const net::Payload& payload) override {
     const bool channel = to == self_ || topo_->connected(self_, to);
     require(channel, "Lemma3 BigContext: inner process used a nonexistent big channel");
     send_(to, payload);
@@ -144,7 +145,7 @@ void GroupSimulation::on_round(net::Context& ctx, net::Inbox inbox) {
   for (auto& env : internal_) big_inbox[env.to].push_back(env);
   internal_.clear();
   for (const auto& env : inbox) {
-    const auto frame = unwrap(env.payload);
+    const auto frame = unwrap(env.payload.span());
     if (!frame) continue;
     // Authenticated channels carry over: the claimed big sender must be
     // simulated by the real sender, and the target by us.
@@ -162,12 +163,12 @@ void GroupSimulation::on_round(net::Context& ctx, net::Inbox inbox) {
   for (auto& [big_id, process] : members_) {
     BigContext big_ctx(
         big_id, ctx.round(), big_topo_, *big_pki_,
-        [&, member = big_id](PartyId to_big, const Bytes& payload) {
+        [&, member = big_id](PartyId to_big, const net::Payload& payload) {
           const PartyId owner = lemma3_owner(big_.k, d_, to_big);
           if (owner == self_small_) {
             internal_.push_back(net::Envelope{member, to_big, ctx.round(), payload});
           } else {
-            ctx.send(owner, wrap(member, to_big, payload));
+            ctx.send(owner, wrap(member, to_big, payload.span()));
           }
         });
     process->on_round(big_ctx, big_inbox[big_id]);

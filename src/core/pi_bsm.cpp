@@ -84,7 +84,7 @@ void PiBsmAlgo::on_round(net::Context& ctx, net::Inbox inbox) {
           other_members_.end()) {
         continue;
       }
-      received.try_emplace(msg.from, std::move(msg.body));
+      received.try_emplace(msg.from, msg.body.begin(), msg.body.end());
     }
     const Side other_side = opposite(algo_side_);
     const Bytes def_other =
@@ -166,7 +166,7 @@ void PiBsmOther::on_round(net::Context& ctx, net::Inbox inbox) {
   for (const auto& msg : msgs) {
     Reader r(msg.body);
     const std::uint32_t channel = r.u32();
-    const Bytes inner = r.bytes();
+    const auto inner = r.bytes_view();
     if (!r.done() || channel != pi_bsm_suggest_channel(cfg_.k)) continue;
     if (side_of(msg.from, cfg_.k) != algo_side_) continue;
     Reader ir(inner);

@@ -8,6 +8,11 @@
 
 namespace bsm::net {
 
+Payload::Payload(Bytes bytes) {
+  const std::uint64_t digest = fnv1a64(bytes);
+  rep_ = std::make_shared<const Rep>(Rep{digest, std::move(bytes)});
+}
+
 namespace {
 
 /// The engine-backed context: validates channel use and collects sends.
@@ -23,7 +28,7 @@ class EngineContext final : public Context {
         out_(&out),
         corrupt_(corrupt) {}
 
-  void send(PartyId to, const Bytes& payload) override {
+  void send(PartyId to, const Payload& payload) override {
     const bool channel = to == self_ || topo_->connected(self_, to);
     if (!channel) {
       // Honest code sending along a nonexistent channel is a bug; byzantine
@@ -31,18 +36,7 @@ class EngineContext final : public Context {
       require(corrupt_, "Context::send: honest process used a nonexistent channel");
       return;
     }
-    // Payload-digest memo: a broadcast pushes the same bytes once per
-    // recipient, back to back. Comparing against the envelope we just
-    // queued (alive in out_) turns n payload hashes into one hash plus
-    // n - 1 memcmps; the delivery fold consumes the digest.
-    std::uint64_t digest = 0;
-    if (last_idx_ < out_->size() && (*out_)[last_idx_].payload == payload) {
-      digest = (*out_)[last_idx_].payload_digest;
-    } else {
-      digest = fnv1a64(payload);
-    }
-    last_idx_ = out_->size();
-    out_->push_back(Envelope{self_, to, round_, payload, digest});
+    out_->push_back(Envelope{self_, to, round_, payload});
   }
 
   [[nodiscard]] Round round() const override { return round_; }
@@ -59,7 +53,6 @@ class EngineContext final : public Context {
   crypto::Signer signer_;
   std::vector<Envelope>* out_;
   bool corrupt_;
-  std::size_t last_idx_ = SIZE_MAX;  ///< index of this context's last send
 };
 
 /// Slot index for `key`: splitmix64 finalizer spreads the sequential
@@ -282,7 +275,7 @@ void Engine::deliver_and_step() {
     }
   }
 
-  // Batch last round's sends into the arena: one buffer, payloads moved.
+  // Batch last round's sends into the arena: one buffer, envelopes moved.
   // With a delivery policy installed, the batch is the policy's verdict
   // over fresh sends plus the carried envelopes due this round.
   if (policy_ == nullptr) {
@@ -307,7 +300,7 @@ void Engine::deliver_and_step() {
     v = hash_combine(v, round_);
     for (const auto& env : mailbox_.inbox(id)) {
       v = hash_combine(v, env.from);
-      v = hash_combine(v, env.payload_digest != 0 ? env.payload_digest : fnv1a64(env.payload));
+      v = hash_combine(v, env.payload.digest());
       stats_.note_delivery(env.from, env.to, round_, env.payload.size());
       if (observer_) observer_(env);
     }

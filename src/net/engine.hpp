@@ -9,7 +9,8 @@
 // Delivery is batched: each round's messages live in one contiguous arena
 // (the Mailbox), grouped by recipient and ordered by sender, and every
 // process receives its inbox as a zero-copy slice of that arena. Payloads
-// are moved, never copied, from send to delivery.
+// are shared, never copied: a send queues a reference to the sender's
+// buffer, and the envelope carries it through to delivery.
 //
 // For the impossibility experiments the engine records, per party, a hash
 // of everything the party has received — two runs are indistinguishable to
@@ -157,7 +158,7 @@ struct TrafficStats {
 /// One round's deliveries as a single flat arena: envelopes grouped by
 /// recipient, ordered by sender id within each group (ties keep send
 /// order). Buffers are recycled round over round — steady state makes no
-/// envelope allocations, and payloads are moved in, never copied.
+/// envelope allocations, and payloads are shared references, never copied.
 ///
 /// The (sender id, send order) delivery order is THE determinism contract
 /// of the engine: it fixes each party's inbox byte-for-byte given the

@@ -23,17 +23,46 @@
 
 namespace bsm::net {
 
-/// A physical message in flight or delivered.
+/// An immutable, shared message payload: the bytes and their fnv1a64
+/// digest, computed once when the payload is made. Copies share one buffer
+/// (a reference-count bump), so a broadcast queues n references to the
+/// same bytes instead of n heap copies, and a process that keeps a message
+/// past its round keeps it alive by keeping a copy. A default-constructed
+/// payload is empty and allocates nothing.
+class Payload {
+ public:
+  Payload() = default;
+  /// Take ownership of `bytes` (an lvalue argument is copied once, here).
+  /// Implicit, so `ctx.send(to, bytes)` reads as before; hot paths that
+  /// send one buffer to many build the Payload once instead.
+  Payload(Bytes bytes);
+
+  [[nodiscard]] const Bytes& bytes() const noexcept { return rep_ ? rep_->bytes : kEmpty; }
+  [[nodiscard]] std::span<const std::uint8_t> span() const noexcept { return bytes(); }
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return bytes().data(); }
+  [[nodiscard]] std::size_t size() const noexcept { return bytes().size(); }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  /// fnv1a64 of the bytes (of the empty buffer for an empty payload).
+  [[nodiscard]] std::uint64_t digest() const noexcept { return rep_ ? rep_->digest : kEmptyDigest; }
+
+ private:
+  struct Rep {
+    std::uint64_t digest;  ///< first: shares a cache line with the size the fold reads
+    Bytes bytes;
+  };
+  static inline const Bytes kEmpty{};
+  static constexpr std::uint64_t kEmptyDigest = 0xcbf29ce484222325ULL;  ///< fnv1a64({})
+
+  std::shared_ptr<const Rep> rep_;
+};
+
+/// A physical message in flight or delivered. Copying one is cheap: the
+/// payload is shared, never duplicated.
 struct Envelope {
   PartyId from = kNobody;
   PartyId to = kNobody;
   Round sent_round = 0;
-  Bytes payload;
-  /// Engine-internal memo: fnv1a64(payload) when nonzero, unset when 0 (the
-  /// delivery fold recomputes it then). Lets the n copies of one broadcast
-  /// share a single payload hash. Shims that build their own envelopes can
-  /// ignore it — a zero digest is always safe.
-  std::uint64_t payload_digest = 0;
+  Payload payload;
 };
 
 /// The messages delivered to one party this round: a contiguous slice of
@@ -50,7 +79,9 @@ class Context {
   /// Queue `payload` for delivery to `to` next round. Sends to parties the
   /// sender shares no channel with are dropped (self-sends are allowed and
   /// loop back next round — protocols routinely "send to all incl. self").
-  virtual void send(PartyId to, const Bytes& payload) = 0;
+  /// The envelope shares `payload`'s buffer: to broadcast, make the
+  /// Payload once and pass it to every send.
+  virtual void send(PartyId to, const Payload& payload) = 0;
 
   [[nodiscard]] virtual Round round() const = 0;
   [[nodiscard]] virtual PartyId self() const = 0;

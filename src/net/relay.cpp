@@ -11,11 +11,29 @@ constexpr std::uint8_t kDirect = 0;
 constexpr std::uint8_t kRelayReq = 1;
 constexpr std::uint8_t kRelayFwd = 2;
 
+// Encoded sizes, so every frame is allocated once at its exact size:
+// signature = signer, tag; relay request = tag, dst, id, tau, body length;
+// signed content = "relay" (length + 5 chars), src, dst, id, tau, body length.
+constexpr std::size_t kSignatureSize = 4 + 8;
+constexpr std::size_t kRelayReqFixed = 1 + 4 + 8 + 4 + 4;
+constexpr std::size_t kSignedContentFixed = 4 + 5 + 4 + 4 + 8 + 4 + 4;
+
+/// [kDirect][u32 len][body]: never empty, so an empty Payload can mean
+/// "not built yet".
+[[nodiscard]] Payload direct_frame(std::span<const std::uint8_t> body) {
+  Writer w;
+  w.reserve(1 + 4 + body.size());
+  w.u8(kDirect);
+  w.bytes(body);
+  return Payload(w.take());
+}
+
 }  // namespace
 
 Bytes RelayRouter::signed_content(PartyId src, PartyId dst, std::uint64_t id, Round tau,
-                                  const Bytes& body) {
+                                  std::span<const std::uint8_t> body) {
   Writer w;
+  w.reserve(kSignedContentFixed + body.size());
   w.str("relay");
   w.u32(src);
   w.u32(dst);
@@ -25,29 +43,26 @@ Bytes RelayRouter::signed_content(PartyId src, PartyId dst, std::uint64_t id, Ro
   return w.take();
 }
 
-void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
+void RelayRouter::send(Context& ctx, PartyId to, std::span<const std::uint8_t> body) {
   const Topology& topo = ctx.topology();
   if (to == ctx.self() || topo.connected(ctx.self(), to)) {
-    Writer w;
-    w.u8(kDirect);
-    w.bytes(body);
-    ctx.send(to, w.data());
+    ctx.send(to, direct_frame(body));
     return;
   }
 
   require(mode_ != RelayMode::Direct, "RelayRouter: no channel and relaying disabled");
   const std::uint64_t id = next_id_++;
   const Round tau = ctx.round();
+  const bool auth = mode_ == RelayMode::AuthSigned || mode_ == RelayMode::AuthTimed;
 
   Writer w;
+  w.reserve(kRelayReqFixed + body.size() + (auth ? kSignatureSize : 0));
   w.u8(kRelayReq);
   w.u32(to);
   w.u64(id);
   w.u32(tau);
   w.bytes(body);
-  if (mode_ == RelayMode::AuthSigned || mode_ == RelayMode::AuthTimed) {
-    ctx.signer().sign(signed_content(ctx.self(), to, id, tau, body)).encode(w);
-  }
+  if (auth) ctx.signer().sign(signed_content(ctx.self(), to, id, tau, body)).encode(w);
 
   // Hand the message to every common neighbour (for our topologies: the
   // entire opposite side, as in the paper's Lemmas 6/8/10). The neighbour
@@ -67,21 +82,19 @@ void RelayRouter::send(Context& ctx, PartyId to, const Bytes& body) {
       }
     }
   }
-  for (PartyId relay : relays) ctx.send(relay, w.data());
+  const Payload frame(w.take());  // one buffer shared by every relay's copy
+  for (PartyId relay : relays) ctx.send(relay, frame);
 }
 
 void RelayRouter::broadcast(Context& ctx, const std::vector<PartyId>& recipients,
-                            const Bytes& body) {
+                            std::span<const std::uint8_t> body) {
   const Topology& topo = ctx.topology();
   const PartyId self = ctx.self();
-  Writer direct;
+  Payload direct;
   for (PartyId to : recipients) {
     if (to == self || topo.connected(self, to)) {
-      if (direct.size() == 0) {
-        direct.u8(kDirect);
-        direct.bytes(body);
-      }
-      ctx.send(to, direct.data());
+      if (direct.empty()) direct = direct_frame(body);
+      ctx.send(to, direct);
     } else {
       send(ctx, to, body);  // relay path: per-destination frame (unique id)
     }
@@ -96,16 +109,16 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
   const PartyId self = ctx.self();
 
   for (const Envelope& env : inbox) {
-    Reader r(env.payload);
+    Reader r(env.payload.span());
     const std::uint8_t tag = r.u8();
 
     if (tag == kDirect) {
-      Bytes body = r.bytes();
+      const auto body = r.bytes_view();
       if (!r.done()) {
         ++rejected_;
         continue;
       }
-      out.push_back(AppMsg{env.from, std::move(body)});
+      out.emplace_back(env.from, body, env.payload);
       continue;
     }
 
@@ -113,7 +126,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
       const PartyId dst = r.u32();
       const std::uint64_t id = r.u64();
       const Round tau = r.u32();
-      const auto body_view = r.bytes_view();  // owned copy only if we must re-sign-check
+      const auto body = r.bytes_view();
       const PartyId src = env.from;  // channels are authenticated
       crypto::Signature sig;
       const bool auth = mode_ == RelayMode::AuthSigned || mode_ == RelayMode::AuthTimed;
@@ -122,23 +135,21 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;
         continue;
       }
-      if (auth) {
-        const Bytes body(body_view.begin(), body_view.end());
-        if (!ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
-          ++rejected_;
-          continue;
-        }
+      if (auth && !ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
+        ++rejected_;
+        continue;
       }
       // The forwarded frame is the request frame with the tag swapped and
       // the source prepended (dst == the request's `to`, all other fields
       // verbatim) — patching the received bytes is byte-identical to the
       // re-encode it replaces.
+      const auto req = env.payload.span();
       Bytes fwd;
-      fwd.reserve(env.payload.size() + 4);
+      fwd.reserve(req.size() + 4);
       fwd.push_back(kRelayFwd);
       append_u32_le(fwd, src);
-      fwd.insert(fwd.end(), env.payload.begin() + 1, env.payload.end());
-      ctx.send(dst, fwd);
+      fwd.insert(fwd.end(), req.begin() + 1, req.end());
+      ctx.send(dst, std::move(fwd));
       continue;
     }
 
@@ -147,7 +158,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
       const PartyId dst = r.u32();
       const std::uint64_t id = r.u64();
       const Round tau = r.u32();
-      const auto body_view = r.bytes_view();
+      const auto body = r.bytes_view();
       crypto::Signature sig;
       const bool auth = mode_ == RelayMode::AuthSigned || mode_ == RelayMode::AuthTimed;
       if (auth) sig = crypto::Signature::decode(r);
@@ -159,22 +170,22 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
 
       if (mode_ == RelayMode::UnauthMajority) {
         // Count distinct forwarders vouching for identical content. The
-        // body is materialized once per distinct content, not per copy;
-        // a digest collision inside one (src, id) bucket would merge
-        // votes, exactly as it (harmlessly, and identically) did when the
-        // seed implementation keyed this map by fnv1a64 too.
+        // first copy of each distinct content is kept (a view sharing its
+        // envelope's payload); a digest collision inside one (src, id)
+        // bucket would merge votes, exactly as it (harmlessly, and
+        // identically) did when the seed implementation keyed this map by
+        // fnv1a64 too.
         auto& bucket = pending_[MajorityKey{src, id}];
-        auto& [stored, voters] = bucket.by_digest[fnv1a64(body_view)];
-        if (stored.empty()) stored.assign(body_view.begin(), body_view.end());
+        auto& [stored, voters] = bucket.by_digest[fnv1a64(body)];
+        if (stored.from == kNobody) stored = AppMsg(src, body, env.payload);
         voters.insert(env.from);
         if (2 * voters.count() > k) {
           accepted_.insert({src, id});
-          out.push_back(AppMsg{src, std::move(stored)});
+          out.push_back(std::move(stored));
           pending_.erase(MajorityKey{src, id});
         }
         continue;
       }
-      Bytes body(body_view.begin(), body_view.end());
 
       if (!ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
         ++rejected_;
@@ -185,7 +196,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         continue;
       }
       accepted_.insert({src, id});
-      out.push_back(AppMsg{src, std::move(body)});
+      out.emplace_back(src, body, env.payload);
       continue;
     }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,10 +37,20 @@ namespace bsm::net {
 
 enum class RelayMode : std::uint8_t { Direct, UnauthMajority, AuthSigned, AuthTimed };
 
-/// An application-level message after transport decoding.
+/// An application-level message after transport decoding. `body` is a view
+/// into bytes that `keep` holds — normally the payload of the envelope the
+/// message arrived in — so decoding and demultiplexing copy nothing, and
+/// holding an AppMsg (across rounds, say) keeps its bytes alive.
 struct AppMsg {
+  AppMsg() = default;
+  AppMsg(PartyId sender, std::span<const std::uint8_t> view, Payload owner) noexcept
+      : from(sender), body(view), keep(std::move(owner)) {}
+  /// A message that owns `bytes` outright (hand-built inboxes).
+  AppMsg(PartyId sender, Bytes bytes) : from(sender), keep(std::move(bytes)) { body = keep.span(); }
+
   PartyId from = kNobody;
-  Bytes body;
+  std::span<const std::uint8_t> body;
+  Payload keep;  ///< holds the bytes `body` points into
 };
 
 class RelayRouter {
@@ -50,16 +61,19 @@ class RelayRouter {
 
   /// Send `body` to `to`, directly if a channel exists, else via relays on
   /// the opposite side. Virtual sends take 2 rounds instead of 1.
-  void send(Context& ctx, PartyId to, const Bytes& body);
+  void send(Context& ctx, PartyId to, std::span<const std::uint8_t> body);
 
   /// Send `body` to every recipient in order. Byte- and id-identical to
   /// calling send() per recipient, but the direct-transport frame is
-  /// encoded once for the whole broadcast instead of once per recipient.
-  void broadcast(Context& ctx, const std::vector<PartyId>& recipients, const Bytes& body);
+  /// encoded once for the whole broadcast and every direct recipient's
+  /// envelope shares that one payload.
+  void broadcast(Context& ctx, const std::vector<PartyId>& recipients,
+                 std::span<const std::uint8_t> body);
 
   /// Decode a physical inbox: forward relay requests addressed to others,
   /// apply the acceptance rule for relayed messages addressed to us, and
-  /// return all application messages delivered this round.
+  /// return all application messages delivered this round. Each message's
+  /// body is a subspan of the envelope payload it arrived in.
   [[nodiscard]] std::vector<AppMsg> route(Context& ctx, Inbox inbox);
 
   /// Number of relayed messages this router refused (bad signature, stale
@@ -79,12 +93,13 @@ class RelayRouter {
   };
   struct MajorityBucket {
     // Distinct contents per (src, id) are adversarial and rare; the inner
-    // map stays ordered but its values are flat (bytes + voter bitset).
-    std::map<std::uint64_t, std::pair<Bytes, core::PartySet>> by_digest;
+    // map stays ordered but its values are flat (the first copy's message,
+    // sharing its envelope's payload, + voter bitset).
+    std::map<std::uint64_t, std::pair<AppMsg, core::PartySet>> by_digest;
   };
 
   [[nodiscard]] static Bytes signed_content(PartyId src, PartyId dst, std::uint64_t id,
-                                            Round tau, const Bytes& body);
+                                            Round tau, std::span<const std::uint8_t> body);
 
   RelayMode mode_;
   std::uint64_t next_id_ = 0;

@@ -16,7 +16,7 @@ class Beacon final : public net::Process {
 
   void on_round(net::Context& ctx, net::Inbox inbox) override {
     ctx.send(peer_, payload_);
-    for (const auto& env : inbox) heard_.push_back(env.payload);
+    for (const auto& env : inbox) heard_.push_back(env.payload.bytes());
   }
 
   std::vector<Bytes> heard_;
@@ -152,7 +152,7 @@ TEST(Shims, SplitBrainSelfSendsStayInWorld) {
     void on_round(net::Context& ctx, net::Inbox inbox) override {
       ctx.send(ctx.self(), Bytes{tag_});
       for (const auto& env : inbox) {
-        ASSERT_EQ(env.payload, Bytes{tag_});  // never the other world's tag
+        ASSERT_EQ(env.payload.bytes(), Bytes{tag_});  // never the other world's tag
         ++echoes_;
       }
     }

@@ -256,7 +256,7 @@ class ChainSpammer final : public net::Process {
     if (forged_.empty()) {
       for (const auto& env : inbox) {
         // Peel transport + hub framing: [kDirect][bytes [u32 ch][bytes chain]].
-        Reader r(env.payload);
+        Reader r(env.payload.span());
         if (r.u8() != 0) continue;
         const Bytes body = r.bytes();
         if (!r.done()) continue;

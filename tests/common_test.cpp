@@ -54,8 +54,8 @@ TEST(Codec, RoundTripScalars) {
 
 TEST(Codec, RoundTripComposites) {
   Writer w;
-  w.bytes({1, 2, 3});
-  w.u32_vec({10, 20, 30});
+  w.bytes(Bytes{1, 2, 3});
+  w.u32_vec(std::vector<std::uint32_t>{10, 20, 30});
   w.str("hello");
   Reader r(w.data());
   EXPECT_EQ(r.bytes(), (Bytes{1, 2, 3}));

@@ -3,6 +3,7 @@
 // hashes, and traffic statistics.
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "net/engine.hpp"
 #include "net/topology.hpp"
 
@@ -82,7 +83,7 @@ TEST(Engine, DeliversNextRoundWithTrueSender) {
   const auto& p1 = dynamic_cast<PingProcess&>(engine.process(1));
   ASSERT_EQ(p1.heard_.size(), 1U);
   EXPECT_EQ(p1.heard_[0].from, 0U);
-  EXPECT_EQ(p1.heard_[0].payload, Bytes{42});
+  EXPECT_EQ(p1.heard_[0].payload.bytes(), Bytes{42});
   EXPECT_EQ(p1.heard_[0].sent_round, 0U);
 }
 
@@ -125,7 +126,7 @@ TEST(Engine, ScheduledCorruptionReplacesProcess) {
   // round 2 it is replaced by silence.
   class Chatty final : public Process {
    public:
-    void on_round(Context& ctx, Inbox) override { ctx.send(1, {9}); }
+    void on_round(Context& ctx, Inbox) override { ctx.send(1, Bytes{9}); }
   };
   class Quiet final : public Process {
    public:
@@ -173,6 +174,53 @@ TEST(Engine, TrafficStatsCountMessagesAndBytes) {
   engine.run(2);
   EXPECT_EQ(engine.stats().messages, 2U);
   EXPECT_EQ(engine.stats().bytes, 4U);
+}
+
+TEST(Payload, CopiesShareOneBufferAndTheDigest) {
+  const Payload a(Bytes{1, 2, 3});
+  const Payload b = a;  // a second reference, not a second buffer
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(b.bytes(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(a.digest(), fnv1a64(Bytes{1, 2, 3}));
+  const Payload empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.digest(), fnv1a64(Bytes{}));
+  EXPECT_EQ(Payload(Bytes{}).digest(), empty.digest());
+}
+
+TEST(Engine, BroadcastEnvelopesShareOnePayloadBuffer) {
+  // One Payload sent to every party (self included) is queued as n
+  // references to the sender's single buffer, all the way to delivery.
+  class Broadcaster final : public Process {
+   public:
+    void on_round(Context& ctx, Inbox) override {
+      if (ctx.round() != 0) return;
+      const Payload payload(Bytes{7, 8, 9});
+      sent_ = payload.data();
+      for (PartyId to = 0; to < ctx.topology().n(); ++to) ctx.send(to, payload);
+    }
+    const std::uint8_t* sent_ = nullptr;
+  };
+  class Quiet final : public Process {
+   public:
+    void on_round(Context&, Inbox) override {}
+  };
+  Engine engine(Topology(TopologyKind::FullyConnected, 2), 1);
+  engine.set_process(0, std::make_unique<Broadcaster>());
+  for (PartyId id = 1; id < 4; ++id) engine.set_process(id, std::make_unique<Quiet>());
+  std::vector<Envelope> delivered;
+  engine.set_observer([&](const Envelope& env) { delivered.push_back(env); });
+  engine.run(2);
+
+  const auto* sent = dynamic_cast<Broadcaster&>(engine.process(0)).sent_;
+  ASSERT_EQ(delivered.size(), 4U);
+  for (PartyId id = 0; id < 4; ++id) {
+    EXPECT_EQ(delivered[id].to, id);
+    EXPECT_EQ(delivered[id].payload.data(), sent) << "recipient " << id;
+    EXPECT_EQ(delivered[id].payload.bytes(), (Bytes{7, 8, 9}));
+  }
+  EXPECT_EQ(engine.stats().messages, 4U);
+  EXPECT_EQ(engine.stats().bytes, 12U);
 }
 
 }  // namespace

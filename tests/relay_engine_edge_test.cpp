@@ -75,7 +75,8 @@ TEST(RelayEdge, AgreeingMajorityVotesAcceptOnce) {
   f.engine.run(3);
   ASSERT_EQ(f.collector().delivered_.size(), 1U);
   EXPECT_EQ(f.collector().delivered_[0].from, 0U);
-  EXPECT_EQ(f.collector().delivered_[0].body, Bytes{9});
+  const auto& body = f.collector().delivered_[0].body;
+  EXPECT_EQ(Bytes(body.begin(), body.end()), Bytes{9});
 }
 
 TEST(RelayEdge, DuplicateVotesFromOneRelayCountOnce) {
@@ -192,7 +193,7 @@ TEST(EngineEdge, CorruptionScheduledBeforeRunZeroActsFromStart) {
   Engine engine(Topology(TopologyKind::FullyConnected, 1), 1);
   class Chatty final : public Process {
    public:
-    void on_round(Context& ctx, Inbox) override { ctx.send(1, {1}); }
+    void on_round(Context& ctx, Inbox) override { ctx.send(1, Bytes{1}); }
   };
   engine.set_process(0, std::make_unique<Chatty>());
   class Count final : public Process {
