@@ -1,8 +1,7 @@
-// The benchmark suite's case groups, one register function per bench/
-// binary. Each bench_<group>.cpp main registers exactly its own group and
-// delegates to core::bench_main(); `bsm_cli bench` calls register_all()
-// and so runs the full suite. Case names are "<group>/<case>"; every
-// group also registers a "<group>/smoke" case small enough for CI's
+// The benchmark suite's case groups, one register function per group.
+// `bsm_cli bench` calls register_all() and so runs the full suite; case
+// names are "<group>/<case>", so `--filter '^<group>/'` selects one group.
+// Every group also registers a "<group>/smoke" case small enough for CI's
 // bench smoke job (--filter smoke).
 #pragma once
 

@@ -1,4 +1,4 @@
-// Scheduler + oracle-cache case groups — the measurements behind the
+// Scheduler + oracle cache case groups — the measurements behind the
 // work-stealing sweep executor (core/sweep.cpp):
 //
 //   sweep/steal_skewed vs sweep/static_skewed — the same deliberately

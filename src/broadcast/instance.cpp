@@ -95,7 +95,10 @@ void InstanceHub::ingest(net::Context& ctx, net::Inbox inbox) {
     Reader r(msg.body);
     const std::uint32_t channel = r.u32();
     const auto inner = r.bytes_view();
-    if (!r.done()) continue;  // malformed frame: drop
+    if (!r.done()) {
+      ++malformed_;
+      continue;
+    }
     msg.body = inner;  // strip the channel frame: narrow the view, copy nothing
 
     if (Entry* entry = entry_at(channel); entry != nullptr) {

@@ -112,6 +112,10 @@ class InstanceHub {
   [[nodiscard]] const Instance& instance(std::uint32_t channel) const;
   [[nodiscard]] net::RelayRouter& router() noexcept { return router_; }
   [[nodiscard]] std::uint32_t stride() const noexcept { return stride_; }
+  /// Channel frames ingest() dropped because they failed to decode (the
+  /// transport frame around them was well-formed; a byzantine sender picks
+  /// the bytes inside it).
+  [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_; }
 
   /// Send control traffic on a raw channel.
   void send_raw(net::Context& ctx, std::uint32_t channel, PartyId to,
@@ -161,6 +165,7 @@ class InstanceHub {
   std::vector<std::unique_ptr<std::vector<net::AppMsg>>> mailboxes_;
   Writer frame_;                         ///< channel-frame scratch, reused per send
   std::vector<net::AppMsg> step_inbox_;  ///< swapped with each due buffer, keeps capacity
+  std::uint64_t malformed_ = 0;
 };
 
 }  // namespace bsm::broadcast

@@ -72,13 +72,8 @@ std::string Subcommand::flag_lines() const {
 
 std::string Subcommand::help_text() const {
   std::ostringstream out;
-  out << "usage: ";
-  if (!usage_line.empty()) {
-    out << usage_line;
-  } else {
-    out << "bsm_cli " << name << " [flags]";
-    if (!positional_name.empty()) out << " " << positional_name << "...";
-  }
+  out << "usage: bsm_cli " << name << " [flags]";
+  if (!positional_name.empty()) out << " " << positional_name << "...";
   out << "\n";
   if (!intro.empty()) out << "\n" << intro << "\n";
   out << "\n" << name << " flags:\n" << flag_lines();

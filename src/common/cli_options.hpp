@@ -67,8 +67,6 @@ struct Subcommand {
   std::string name;        ///< "sweep"; used in usage lines and error messages
   std::string summary;     ///< one-liner for the top-level help index
   std::string intro;       ///< paragraph above the flag table in help
-  std::string usage_line;  ///< override for help_text's usage (standalone tools);
-                           ///< "" = the default "bsm_cli <name> [flags]"
 
   std::vector<FlagSpec> flags;
 

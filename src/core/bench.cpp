@@ -186,10 +186,10 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   sub.name = "bench";
   sub.summary = "run the benchmark suite, emit BENCH_results.json on stdout";
   sub.intro =
-      "runs every registered benchmark case group — the same cases\n"
-      "the bench/ binaries run — and prints the versioned BENCH_results.json\n"
-      "schema, documented in docs/BENCHMARKS.md, on stdout; exit 0 iff every\n"
-      "case was ok and deterministic, 1 on a failed case, 2 on a usage error";
+      "runs every registered benchmark case group (bench/cases/) and\n"
+      "prints the versioned BENCH_results.json schema, documented in\n"
+      "docs/BENCHMARKS.md, on stdout; exit 0 iff every case was ok and\n"
+      "deterministic, 1 on a failed case, 2 on a usage error";
   sub.flags = {
       cli::value_flag("--threads", "N",
                       "worker threads for parallel cases (default: 0 = hardware)",
@@ -223,11 +223,9 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   return sub;
 }
 
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg) {
+int bench_main(int argc, char** argv) {
   BenchCliState state;
-  state.json_path = cfg.default_json;
-  cli::Subcommand sub = bench_subcommand(state);
-  sub.usage_line = std::string(argv[0]) + " [flags]";
+  const cli::Subcommand sub = bench_subcommand(state);
   switch (cli::parse_flags(sub, argc, argv, 1, std::cerr)) {
     case cli::ParseStatus::Help: return 0;
     case cli::ParseStatus::Error: return 2;

@@ -153,8 +153,8 @@ class JsonReporter {
 /// The option state bench_main's flag table binds to.
 struct BenchCliState {
   BenchOptions opts;
-  std::string json_path;  ///< --json target; "" = human summary, "-" = stdout
-  bool list = false;      ///< --list: print case names and exit
+  std::string json_path = "-";  ///< --json target; "-" = stdout, "" = human summary only
+  bool list = false;            ///< --list: print case names and exit
 };
 
 /// The declarative bench flag table (see common/cli_options.hpp), bound to
@@ -162,22 +162,16 @@ struct BenchCliState {
 /// top-level help so the table is the single source of bench flags.
 [[nodiscard]] cli::Subcommand bench_subcommand(BenchCliState& state);
 
-/// Behaviour knobs for bench_main (the shared CLI entry point).
-struct BenchMainConfig {
-  /// Where JSON goes when --json is not given: empty = print a human
-  /// summary instead; "-" = JSON on stdout (what `bsm_cli bench` wants).
-  std::string default_json;
-};
-
-/// Shared main() for every bench binary and for `bsm_cli bench`:
+/// The `bsm_cli bench` entry point (argv[0] is "bench"):
 ///   --threads N       worker threads for parallel cases (0 = hardware)
 ///   --repeats N       override every case's repeat count
 ///   --filter REGEX    run only cases whose name matches
-///   --json PATH|-     write BENCH_results.json to PATH (or stdout)
+///   --json PATH|-     write BENCH_results.json to PATH, with a human
+///                     summary on stdout (default "-": JSON on stdout)
 ///   --list            print registered case names and exit
 ///   --help            usage
 /// Exits 0 when every selected case was ok and deterministic, 1 on a
 /// failed case, 2 on a usage error (unknown flag, bad value, bad regex).
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg = {});
+int bench_main(int argc, char** argv);
 
 }  // namespace bsm::core

@@ -7,7 +7,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -133,18 +132,6 @@ class OracleCache {
 
   /// Drop every entry and zero the counters (tests and long-lived servers).
   void clear();
-
-  /// Install a known verdict without deriving it — the persisted-cache
-  /// load path (core/shard.hpp). Touches no hit/miss counter; an already
-  /// memoized key is left untouched (the in-memory entry wins). Returns
-  /// whether an entry was added.
-  bool preload(const OracleKey& key, bool solvable, const std::optional<ProtocolSpec>& protocol);
-
-  /// Visit every memoized entry — the persisted-cache save path. `fn` runs
-  /// under the owning shard's lock: keep it cheap (collect, don't do I/O)
-  /// and never reenter the cache from inside it.
-  void for_each(const std::function<void(const OracleKey&, bool solvable,
-                                         const std::optional<ProtocolSpec>&)>& fn) const;
 
   /// The process-wide cache run_sweep() uses by default.
   [[nodiscard]] static OracleCache& global();

@@ -1,12 +1,10 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
-#include <thread>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
@@ -568,209 +566,6 @@ std::optional<std::string> merge_jsonl(const std::vector<std::string>& shard_doc
   out += jsonl_summary_line(first.total, ran, all_ok);
   out += '\n';
   return out;
-}
-
-// ------------------------------------------------- persisted oracle cache
-
-namespace {
-
-constexpr std::uint32_t kOkvMagic = 0x31564b4f;  // "OKV1", little-endian
-
-[[nodiscard]] Bytes encode_oracle_entry(const OracleKey& key, bool solvable,
-                                        const std::optional<ProtocolSpec>& protocol) {
-  Writer w;
-  w.u32(kOkvMagic);
-  w.u8(static_cast<std::uint8_t>(key.topology));
-  w.u8(key.authenticated ? 1 : 0);
-  w.u32(key.k);
-  w.u32(key.tl);
-  w.u32(key.tr);
-  w.u64(key.adversary_digest);
-  w.u8(solvable ? 1 : 0);
-  w.u8(protocol.has_value() ? 1 : 0);
-  if (protocol.has_value()) {
-    w.u8(static_cast<std::uint8_t>(protocol->kind));
-    w.u8(static_cast<std::uint8_t>(protocol->relay));
-    w.u32(protocol->stride);
-    w.u8(static_cast<std::uint8_t>(protocol->algo_side));
-    w.u32(protocol->total_rounds);
-  }
-  return w.take();
-}
-
-/// Strict inverse of encode_oracle_entry: false on any malformed byte —
-/// cache files cross process (and CI cache) boundaries, so junk is
-/// skipped, never trusted.
-[[nodiscard]] bool decode_oracle_entry(const Bytes& data, OracleKey& key, bool& solvable,
-                                       std::optional<ProtocolSpec>& protocol) {
-  Reader r(data);
-  if (r.u32() != kOkvMagic) return false;
-  const std::uint8_t topology = r.u8();
-  const std::uint8_t authenticated = r.u8();
-  key.k = r.u32();
-  key.tl = r.u32();
-  key.tr = r.u32();
-  key.adversary_digest = r.u64();
-  const std::uint8_t solvable_byte = r.u8();
-  const std::uint8_t has_protocol = r.u8();
-  if (topology > 2 || authenticated > 1 || solvable_byte > 1 || has_protocol > 1) return false;
-  key.topology = static_cast<net::TopologyKind>(topology);
-  key.authenticated = authenticated != 0;
-  solvable = solvable_byte != 0;
-  protocol.reset();
-  if (has_protocol != 0) {
-    ProtocolSpec spec;
-    const std::uint8_t kind = r.u8();
-    const std::uint8_t relay = r.u8();
-    spec.stride = r.u32();
-    const std::uint8_t algo_side = r.u8();
-    spec.total_rounds = r.u32();
-    if (kind > 2 || relay > 3 || algo_side > 1) return false;
-    spec.kind = static_cast<ProtocolSpec::Kind>(kind);
-    spec.relay = static_cast<net::RelayMode>(relay);
-    spec.algo_side = static_cast<Side>(algo_side);
-    protocol = spec;
-  }
-  return r.done();
-}
-
-}  // namespace
-
-std::size_t load_oracle_cache(OracleCache& cache, const std::string& dir) {
-  std::error_code ec;
-  if (dir.empty() || !fs::is_directory(dir, ec)) return 0;
-  obs::Recorder* const rec = obs::current();
-  const std::uint64_t t0 = rec ? rec->now_ns() : 0;
-
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".okv") {
-      files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());  // directory order is not deterministic
-
-  std::size_t loaded = 0;
-  for (const fs::path& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    OracleKey key;
-    bool solvable = false;
-    std::optional<ProtocolSpec> protocol;
-    if (!decode_oracle_entry(data, key, solvable, protocol)) continue;
-    if (cache.preload(key, solvable, protocol)) ++loaded;
-  }
-  if (rec != nullptr) {
-    rec->record(obs::Span::OkvLoad, t0, rec->now_ns(), loaded);
-    rec->count(obs::Counter::OkvLoadedEntries, loaded);
-  }
-  return loaded;
-}
-
-namespace {
-
-/// Bounded exponential backoff with deterministic jitter: attempt a
-/// (0-based retry) waits base * 2^a, plus up to half of that drawn from
-/// the jitter seed, capped at max_delay_ms. No wall clock: the same seed
-/// and attempt always wait the same span.
-[[nodiscard]] std::uint32_t backoff_delay_ms(const SaveRetryOptions& retry, std::uint64_t op_index,
-                                             std::uint32_t attempt) {
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(std::max<std::uint32_t>(retry.base_delay_ms, 1)) << attempt;
-  const std::uint64_t jitter =
-      splitmix64(retry.jitter_seed ^ splitmix64(op_index * 0x9e3779b97f4a7c15ULL + attempt)) %
-      (base / 2 + 1);
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(base + jitter, std::max<std::uint32_t>(retry.max_delay_ms, 1)));
-}
-
-/// Run one filesystem operation under the retry policy. `op` returns true
-/// on success; the test hook can force any try to fail before `op` runs.
-template <typename Op>
-[[nodiscard]] bool with_retries(const SaveRetryOptions& retry, std::size_t& op_index, Op&& op) {
-  const std::uint32_t attempts = std::max<std::uint32_t>(retry.attempts, 1);
-  for (std::uint32_t a = 0; a < attempts; ++a) {
-    const bool forced_fail = retry.fail_op && retry.fail_op(op_index);
-    ++op_index;
-    if (!forced_fail && op()) return true;
-    if (a + 1 < attempts) {
-      const std::uint32_t delay = backoff_delay_ms(retry, op_index, a);
-      if (retry.sleep) {
-        retry.sleep(delay);
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-std::size_t save_oracle_cache(const OracleCache& cache, const std::string& dir,
-                              const SaveRetryOptions& retry) {
-  if (dir.empty()) return 0;
-  obs::Recorder* const rec = obs::current();
-  const std::uint64_t t0 = rec ? rec->now_ns() : 0;
-
-  // Collect under the shard locks, write after: for_each must stay cheap.
-  struct Saved {
-    OracleKey key;
-    bool solvable = false;
-    std::optional<ProtocolSpec> protocol;
-  };
-  std::vector<Saved> entries;
-  cache.for_each([&](const OracleKey& key, bool solvable,
-                     const std::optional<ProtocolSpec>& protocol) {
-    entries.push_back({key, solvable, protocol});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const Saved& a, const Saved& b) { return a.key.digest() < b.key.digest(); });
-
-  fs::create_directories(dir);
-  std::size_t written = 0;
-  std::size_t op_index = 0;
-  for (const Saved& entry : entries) {
-    const fs::path path = fs::path(dir) / (to_hex(entry.key.digest()) + ".okv");
-    std::error_code ec;
-    if (fs::exists(path, ec)) continue;  // content-addressed: already persisted
-
-    // Write-then-rename publish: readers (and concurrent savers racing on
-    // the same content-addressed name) only ever see complete files. Both
-    // steps retry on transient errors; a persistent failure skips this
-    // entry — the cache is an optimization, not a result.
-    const fs::path tmp = fs::path(dir) / (to_hex(entry.key.digest()) + ".okv.tmp");
-    const Bytes data = encode_oracle_entry(entry.key, entry.solvable, entry.protocol);
-    const bool wrote = with_retries(retry, op_index, [&] {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) return false;
-      out.write(reinterpret_cast<const char*>(data.data()),
-                static_cast<std::streamsize>(data.size()));
-      out.flush();
-      return static_cast<bool>(out);
-    });
-    const bool renamed = wrote && with_retries(retry, op_index, [&] {
-      std::error_code rename_ec;
-      fs::rename(tmp, path, rename_ec);
-      return !rename_ec;
-    });
-    if (renamed) {
-      ++written;
-    } else {
-      fs::remove(tmp, ec);  // best effort; a stray .tmp is ignored by load
-      if (retry.log != nullptr) {
-        *retry.log << "oracle-cache: skipping " << path.filename().string() << " after "
-                   << std::max<std::uint32_t>(retry.attempts, 1) << " attempts ("
-                   << (wrote ? "rename" : "write") << " kept failing)\n";
-      }
-    }
-  }
-  if (rec != nullptr) {
-    rec->record(obs::Span::OkvSave, t0, rec->now_ns(), written);
-    rec->count(obs::Counter::OkvSavedEntries, written);
-  }
-  return written;
 }
 
 }  // namespace bsm::core

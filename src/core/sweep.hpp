@@ -12,10 +12,11 @@
 // workers steal chunks from the *back* of a victim's deque (the far end of
 // the victim's range, where the owner will arrive last). Per-worker
 // SweepArenas (memoized contested profiles, future pools) live exactly as
-// long as the worker and are reused across every cell it executes, and a
-// shared OracleCache memoizes the solvability verdict + resolved protocol
-// per canonical setting, so the thousands of cells a grid repeats per
-// setting resolve in O(1).
+// long as the worker and are reused across every cell it executes. Each
+// cell resolves its solvability verdict + protocol through an in-memory
+// OracleCache, which counts the lookups per canonical setting. The oracle
+// itself is a closed form, a small fraction of a percent of a cell's time,
+// so the cache is accounting, not a speed-up; it lives only in memory.
 //
 // The determinism guarantee is strict — parallel results are byte-identical
 // to the serial fallback, because each cell owns its engine, PKI, and RNG
@@ -152,7 +153,7 @@ struct CellResult {
                                       OracleCacheStats* counters = nullptr);
 
 /// Execute every cell and return results in input order. `stats`, when
-/// given, receives the schedule shape and oracle-cache accounting.
+/// given, receives the schedule shape and oracle cache accounting.
 [[nodiscard]] std::vector<CellResult> run_sweep(const std::vector<ScenarioSpec>& cells,
                                                 SweepOptions opts = {},
                                                 SweepStats* stats = nullptr);

@@ -28,17 +28,16 @@ thread_local void* t_cached_log = nullptr;
 constexpr const char* kSpanNames[kSpanKinds] = {
     "engine/assemble", "engine/policy", "engine/deliver", "engine/on_round", "sweep/chunk",
     "sweep/cell", "oracle/hit", "oracle/miss", "shard/emit", "shard/checkpoint", "shard/flush",
-    "okv/save", "okv/load", "sched/eval"};
+    "sched/eval"};
 
 constexpr const char* kSpanKeys[kSpanKinds] = {
     "engine_assemble", "engine_policy", "engine_deliver", "engine_on_round", "sweep_chunk",
     "sweep_cell", "oracle_hit", "oracle_miss", "shard_emit", "shard_checkpoint", "shard_flush",
-    "okv_save", "okv_load", "sched_eval"};
+    "sched_eval"};
 
 constexpr const char* kCounterKeys[kCounterKinds] = {
     "engine_rounds", "cells_done", "chunks", "steals", "idle_exits", "oracle_hits",
-    "oracle_misses", "oracle_inserts", "cells_emitted", "checkpoints", "flushes",
-    "okv_saved_entries", "okv_loaded_entries", "evals"};
+    "oracle_misses", "oracle_inserts", "cells_emitted", "checkpoints", "flushes", "evals"};
 
 /// Category string for the trace, derived from the span name prefix.
 [[nodiscard]] std::string span_category(Span s) {
@@ -255,7 +254,7 @@ std::string Recorder::chrome_trace_json() const {
 
 std::string Recorder::metrics_json() const {
   std::ostringstream out;
-  out << "{\"version\": 1, \"spans\": " << spans_captured()
+  out << "{\"version\": 2, \"spans\": " << spans_captured()
       << ", \"spans_dropped\": " << spans_dropped() << ", \"counters\": {";
   for (std::size_t c = 0; c < kCounterKinds; ++c) {
     if (c != 0) out << ", ";

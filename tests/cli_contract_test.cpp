@@ -68,6 +68,7 @@ TEST(CliContract, UnknownFlagsExitTwoAndNameTheFlag) {
       {"run --bogus-flag", "--bogus-flag"},
       {"--bogus-flag", "--bogus-flag"},
       {"sweep --not-a-flag", "--not-a-flag"},
+      {"sweep --oracle-cache dir", "--oracle-cache"},
       {"explore --wat", "--wat"},
       {"fuzz --wat", "--wat"},
       {"fuzz --corpse dir", "--corpse"},
@@ -335,7 +336,7 @@ TEST(CliContract, RecorderOnOutputBytesAreIdenticalOutsideMetrics) {
     const auto plain = run_cli(grid + threads);
     const auto observed = run_cli(grid + threads + " --metrics --trace-out " + trace_path);
     EXPECT_EQ(plain.exit_code, observed.exit_code) << threads;
-    EXPECT_NE(observed.output.find("\n  \"metrics\": {\"version\": 1, "), std::string::npos)
+    EXPECT_NE(observed.output.find("\n  \"metrics\": {\"version\": 2, "), std::string::npos)
         << threads << "\n" << observed.output.substr(0, 400);
     EXPECT_EQ(strip_metrics(observed.output), plain.output)
         << threads << ": recorder-on report must be byte-identical outside metrics";
@@ -390,7 +391,7 @@ TEST(CliContract, FuzzMetricsBlockSitsAboveAllSatisfied) {
   const auto result = run_cli(
       "fuzz --k 2 --tl 1 --tr 1 --include-honest --max-execs 64 --threads 2 --metrics");
   EXPECT_EQ(result.exit_code, 0) << result.output;
-  const auto metrics_at = result.output.find("\n  \"metrics\": {\"version\": 1, ");
+  const auto metrics_at = result.output.find("\n  \"metrics\": {\"version\": 2, ");
   const auto satisfied_at = result.output.find("\"all_satisfied\": true");
   ASSERT_NE(metrics_at, std::string::npos) << result.output;
   ASSERT_NE(satisfied_at, std::string::npos) << result.output;

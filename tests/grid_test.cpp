@@ -1,7 +1,8 @@
 // Integration sweep: for every cell of (topology x auth x tL x tR) at small
 // k, a solvable cell must survive an adversary battery with all four bSM
 // properties intact — the test-suite version of the paper's results grid
-// (the full grid lives in bench_solvability_grid).
+// (the full grid is the `solvability_grid/` bench group, run through
+// `bsm_cli bench`).
 //
 // Cells are enumerated declaratively with SweepGrid and executed through
 // run_sweep(), the same engine the benches use.

@@ -143,7 +143,7 @@ TEST(ObsRecorder, MetricsJsonIsSingleLineWithFixedKeys) {
   rec.count(Counter::OracleHits);
   const std::string m = rec.metrics_json();
   EXPECT_EQ(m.find('\n'), std::string::npos) << "metrics must render on one line";
-  EXPECT_EQ(m.rfind("{\"version\": 1, ", 0), 0U) << m;
+  EXPECT_EQ(m.rfind("{\"version\": 2, ", 0), 0U) << m;
   for (std::size_t c = 0; c < kCounterKinds; ++c) {
     EXPECT_NE(m.find("\"" + std::string(counter_key(static_cast<Counter>(c))) + "\": "),
               std::string::npos);

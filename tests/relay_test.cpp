@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "broadcast/instance.hpp"
 #include "common/codec.hpp"
+#include "common/rng.hpp"
 #include "net/engine.hpp"
 #include "net/relay.hpp"
 
@@ -252,19 +255,6 @@ TEST(Relay, TimedOmissionRequiresAllRelaysByzantine) {
   ASSERT_EQ(f.user(1).delivered().size(), 1U);
 }
 
-TEST(Relay, MalformedFramesAreCountedNotFatal) {
-  Fixture f(2, RelayMode::UnauthMajority);
-  class Noise final : public Process {
-   public:
-    void on_round(Context& ctx, Inbox) override {
-      if (ctx.round() == 0) ctx.send(0, Bytes{0xFF, 0xFF, 0xFF});
-    }
-  };
-  f.engine.set_corrupt(2, std::make_unique<Noise>());
-  EXPECT_NO_THROW(f.engine.run(3));
-  EXPECT_GE(f.user(0).router().rejected(), 1U);
-}
-
 // ------------------------------------------------- shared payloads, views
 
 /// True iff `body` lies inside `payload`'s buffer.
@@ -440,6 +430,200 @@ TEST(RelayViews, StrideTwoBufferedBodiesOutliveTheMailbox) {
     for (PartyId from = 0; from < 4; ++from) {
       EXPECT_EQ(host.instance_->views_[from].from, from);
       EXPECT_EQ(host.instance_->copies_[from], hub_value(from));
+    }
+  }
+}
+
+// ------------------------------------------------------- malformed frames
+
+/// Decodes frames one at a time outside the engine: the real topology and
+/// PKI, one fixed party and round, and sends recorded instead of queued.
+class ProbeContext final : public Context {
+ public:
+  ProbeContext(const Topology& topo, const crypto::Pki& pki, PartyId self, Round round)
+      : topo_(&topo), pki_(&pki), signer_(pki.signer_for(self)), self_(self), round_(round) {}
+
+  void send(PartyId to, const Payload& payload) override {
+    sent.push_back({self_, to, round_, payload});
+  }
+  [[nodiscard]] Round round() const override { return round_; }
+  [[nodiscard]] PartyId self() const override { return self_; }
+  [[nodiscard]] const Topology& topology() const override { return *topo_; }
+  [[nodiscard]] const crypto::Signer& signer() const override { return signer_; }
+  [[nodiscard]] const crypto::Pki& pki() const override { return *pki_; }
+
+  std::vector<Envelope> sent;
+
+ private:
+  const Topology* topo_;
+  const crypto::Pki* pki_;
+  crypto::Signer signer_;
+  PartyId self_;
+  Round round_;
+};
+
+/// One mutated frame; `malformed` marks mutants that cannot decode.
+struct Mutant {
+  Bytes bytes;
+  bool malformed;
+};
+
+/// The seeded mutation battery over one frame whose variable-length field
+/// has its u32 length prefix at `len_at`: truncation at every length, that
+/// prefix inflated past the real length (by one, into a trailing signature,
+/// at random, and to the maximum), and random bit flips and byte
+/// overwrites. Truncated and inflated frames cannot decode; a flipped one
+/// may still decode (to other content).
+[[nodiscard]] std::vector<Mutant> mutants(const Bytes& frame, std::size_t len_at, Rng& rng) {
+  std::vector<Mutant> out;
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    out.push_back({Bytes(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len)), true});
+  }
+  const auto inflate = [&](std::uint64_t len) {
+    Bytes bad = frame;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bad[len_at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    }
+    out.push_back({std::move(bad), true});
+  };
+  const std::uint64_t real = Reader(std::span<const std::uint8_t>(frame).subspan(len_at)).u32();
+  inflate(real + 1);
+  inflate(real + 12);  // the size of a trailing signature
+  inflate(real + 1 + rng.below(1U << 20));
+  inflate(0xFFFFFFFF);
+  for (int i = 0; i < 64; ++i) {
+    Bytes bad = frame;
+    const std::uint64_t flips = 1 + rng.below(3);
+    for (std::uint64_t f = 0; f < flips; ++f) bad[rng.below(bad.size())] ^= 1U << rng.below(8);
+    out.push_back({std::move(bad), false});
+  }
+  for (int i = 0; i < 16; ++i) {
+    Bytes bad = frame;
+    bad[rng.below(bad.size())] = static_cast<std::uint8_t>(rng.next());
+    out.push_back({std::move(bad), false});
+  }
+  return out;
+}
+
+/// Offset of the body-length prefix in a transport frame, by its tag byte:
+/// direct [tag][len]; relay request [tag][dst][id][tau][len]; forward
+/// [tag][src][dst][id][tau][len].
+[[nodiscard]] std::size_t transport_len_at(std::uint8_t tag) {
+  if (tag == 0) return 1;
+  return tag == 1 ? 1 + 4 + 8 + 4 : 1 + 4 + 4 + 8 + 4;
+}
+
+/// Every envelope a run delivered.
+[[nodiscard]] std::vector<Envelope> capture(Engine& engine, Round rounds) {
+  std::vector<Envelope> seen;
+  engine.set_observer([&](const Envelope& env) { seen.push_back(env); });
+  engine.run(rounds);
+  engine.set_observer(nullptr);  // the observer refers to `seen`
+  return seen;
+}
+
+TEST(Relay, MalformedFramesAreCountedNotFatal) {
+  {
+    Fixture f(2, RelayMode::UnauthMajority);
+    class Noise final : public Process {
+     public:
+      void on_round(Context& ctx, Inbox) override {
+        if (ctx.round() == 0) ctx.send(0, Bytes{0xFF, 0xFF, 0xFF});
+      }
+    };
+    f.engine.set_corrupt(2, std::make_unique<Noise>());
+    EXPECT_NO_THROW(f.engine.run(3));
+    EXPECT_GE(f.user(0).router().rejected(), 1U);
+  }
+
+  // The mutation battery over real transport frames of every relay mode
+  // (a direct L-to-R send, or an L-to-L send through the R relays): each
+  // mutant goes alone through a fresh router at its recipient. A mutant
+  // that fails to decode is counted once and yields no body and no
+  // forward; one that decodes yields only views into its own payload.
+  // Failures name (mode, frame, mutant).
+  Rng rng(0x5eed);
+  for (int m = 0; m < 4; ++m) {
+    const auto mode = static_cast<RelayMode>(m);
+    const bool direct = mode == RelayMode::Direct;
+    Fixture f(2, mode);
+    f.script(0, {{0, direct ? PartyId{2} : PartyId{1}, Bytes{9, 8, 7, 6, 5}}});
+    const auto frames = capture(f.engine, 4);
+    unsigned tags = 0;  // bit t set: a frame with tag t was captured
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const Envelope& env = frames[i];
+      const Bytes& frame = env.payload.bytes();
+      tags |= 1U << frame.at(0);
+      {
+        RelayRouter router(mode);
+        ProbeContext ctx(f.engine.topology(), f.engine.pki(), env.to, env.sent_round + 1);
+        (void)router.route(ctx, Inbox(&env, 1));
+        ASSERT_EQ(router.rejected(), 0U) << "pristine frames decode";
+      }
+      const auto battery = mutants(frame, transport_len_at(frame[0]), rng);
+      for (std::size_t b = 0; b < battery.size(); ++b) {
+        const std::string where = ::testing::PrintToString(std::tuple(m, i, b));
+        Envelope bad = env;
+        bad.payload = Payload(battery[b].bytes);
+        RelayRouter router(mode);
+        ProbeContext ctx(f.engine.topology(), f.engine.pki(), env.to, env.sent_round + 1);
+        const auto out = router.route(ctx, Inbox(&bad, 1));
+        ASSERT_LE(router.rejected(), 1U) << where;
+        if (battery[b].malformed) EXPECT_EQ(router.rejected(), 1U) << where;
+        if (router.rejected() == 1) {
+          EXPECT_TRUE(out.empty()) << where;
+          EXPECT_TRUE(ctx.sent.empty()) << where;
+        }
+        for (const AppMsg& msg : out) {
+          EXPECT_TRUE(points_into(msg.body, bad.payload)) << where;
+        }
+      }
+    }
+    EXPECT_EQ(tags, direct ? 0b001U : 0b110U) << "mode " << m;
+  }
+
+  // The same battery over real hub channel frames ([u32 channel][u32 len]
+  // [inner]), each wrapped in a well-formed direct frame and fed through
+  // InstanceHub::ingest: a channel frame that fails to decode is counted
+  // as malformed and reaches no mailbox. Failures name (frame, mutant).
+  Engine engine(Topology(TopologyKind::FullyConnected, 2), 1);
+  for (PartyId id = 0; id < 4; ++id) {
+    engine.set_process(id, std::make_unique<HubHost>(/*stride=*/1, 2, hub_value(id), false));
+  }
+  const auto frames = capture(engine, 2);
+  ASSERT_EQ(frames.size(), 16U);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const Envelope& env = frames[i];
+    Bytes channel_frame;
+    {
+      RelayRouter router(RelayMode::Direct);
+      ProbeContext ctx(engine.topology(), engine.pki(), env.to, env.sent_round + 1);
+      const auto out = router.route(ctx, Inbox(&env, 1));
+      ASSERT_EQ(out.size(), 1U);
+      channel_frame = body_of(out[0]);
+    }
+    const auto battery = mutants(channel_frame, /*len_at=*/4, rng);
+    for (std::size_t b = 0; b < battery.size(); ++b) {
+      const std::string where = ::testing::PrintToString(std::tuple(i, b));
+      RelayRouter wrapper(RelayMode::Direct);
+      ProbeContext wrap(engine.topology(), engine.pki(), env.from, env.sent_round);
+      wrapper.send(wrap, env.to, battery[b].bytes);
+      ASSERT_EQ(wrap.sent.size(), 1U);
+      const Envelope& bad = wrap.sent[0];
+
+      broadcast::InstanceHub hub(RelayMode::Direct, 1);
+      hub.add_mailbox(0);
+      ProbeContext ctx(engine.topology(), engine.pki(), env.to, env.sent_round + 1);
+      hub.ingest(ctx, Inbox(&bad, 1));
+      const auto got = hub.take_mailbox(0);
+      EXPECT_EQ(hub.router().rejected(), 0U) << where;
+      ASSERT_LE(hub.malformed(), 1U) << where;
+      if (battery[b].malformed) EXPECT_EQ(hub.malformed(), 1U) << where;
+      if (hub.malformed() == 1) EXPECT_TRUE(got.empty()) << where;
+      EXPECT_LE(got.size(), 1U) << where;
+      for (const AppMsg& msg : got) {
+        EXPECT_TRUE(points_into(msg.body, bad.payload)) << where;
+      }
     }
   }
 }

@@ -8,8 +8,6 @@
 //     any shard count and any thread count.
 //  3. Crash/resume — a file truncated at ANY byte and rerun with resume
 //     converges to the uninterrupted bytes.
-//  4. Persistence — an OracleCache round-trips through its on-disk form,
-//     and a preloaded cache turns a second process's misses into hits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -289,132 +287,6 @@ TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
   EXPECT_TRUE(merge_jsonl({a, b, c}, &error).has_value()) << error;
 }
 
-TEST(Shard, OracleCachePersistsAcrossProcesses) {
-  const auto cells = shard_grid();
-  const auto dir = scratch_dir("okv");
-  const std::string cache_dir = (dir / "cache").string();
-
-  // Process one: run the first half against an empty cache, persist it.
-  OracleCache first;
-  StreamOptions opts;
-  opts.shard = {1, 2};
-  opts.sweep.oracle = &first;
-  std::ostringstream sink;
-  const StreamStats st1 = stream_sweep(cells, opts, sink);
-  EXPECT_EQ(st1.sweep.oracle.hits + st1.sweep.oracle.misses, st1.cells);
-  const std::size_t saved = save_oracle_cache(first, cache_dir);
-  EXPECT_EQ(saved, st1.sweep.oracle.inserts) << "one file per distinct setting";
-  EXPECT_GT(saved, 0U);
-
-  // Saving again is a no-op: every file already exists.
-  EXPECT_EQ(save_oracle_cache(first, cache_dir), 0U);
-
-  // Process two: a fresh cache preloaded from disk re-runs the same shard
-  // without a single derivation miss, and the bytes don't change.
-  OracleCache second;
-  EXPECT_EQ(load_oracle_cache(second, cache_dir), saved);
-  StreamOptions opts2 = opts;
-  opts2.sweep.oracle = &second;
-  std::ostringstream sink2;
-  const StreamStats st2 = stream_sweep(cells, opts2, sink2);
-  EXPECT_EQ(st2.sweep.oracle.misses, 0U)
-      << "preloaded cache must satisfy every lookup of the same shard";
-  EXPECT_EQ(st2.sweep.oracle.hits, st1.cells);
-  EXPECT_EQ(sink2.str(), sink.str()) << "persisted verdicts must not change the bytes";
-
-  // Loading from a missing directory is zero entries, not an error.
-  OracleCache empty;
-  EXPECT_EQ(load_oracle_cache(empty, (dir / "absent").string()), 0U);
-}
-
-/// A small grid whose sweep populates an OracleCache with a handful of
-/// distinct settings (the retry tests need >= 2 persisted files).
-[[nodiscard]] std::vector<ScenarioSpec> retry_grid() {
-  SweepGrid grid;
-  grid.ks = {2};
-  grid.tls = {0, 1};
-  grid.trs = {0, 1};
-  return grid.cells();
-}
-
-TEST(Shard, OracleCacheSaveRetriesTransientFailures) {
-  OracleCache cache;
-  (void)run_sweep(retry_grid(), {.threads = 1, .oracle = &cache});
-  const auto dir = scratch_dir("retry_transient");
-  const std::size_t expected = save_oracle_cache(cache, (dir / "baseline").string());
-  ASSERT_GE(expected, 2U);
-
-  // The first write attempt of the first file fails once; every file must
-  // still land, after exactly one recorded backoff.
-  std::vector<std::uint32_t> delays;
-  SaveRetryOptions retry;
-  retry.jitter_seed = 42;
-  retry.sleep = [&](std::uint32_t ms) { delays.push_back(ms); };
-  retry.fail_op = [](std::size_t op) { return op == 0; };
-  const std::size_t saved = save_oracle_cache(cache, (dir / "a").string(), retry);
-  EXPECT_EQ(saved, expected);
-  ASSERT_EQ(delays.size(), 1U);
-  EXPECT_GE(delays[0], 1U);
-  EXPECT_LE(delays[0], retry.max_delay_ms);
-
-  // Same seed, same failure pattern: the backoff schedule is deterministic.
-  std::vector<std::uint32_t> delays_again;
-  SaveRetryOptions retry_again = retry;
-  retry_again.sleep = [&](std::uint32_t ms) { delays_again.push_back(ms); };
-  EXPECT_EQ(save_oracle_cache(cache, (dir / "b").string(), retry_again), expected);
-  EXPECT_EQ(delays_again, delays);
-
-  // No torn or temporary files survive a successful save.
-  for (const auto& file : fs::directory_iterator(dir / "a")) {
-    EXPECT_EQ(file.path().extension(), ".okv") << file.path();
-  }
-}
-
-TEST(Shard, OracleCacheSavePersistentFailureIsALoggedSkipNotAnAbort) {
-  OracleCache cache;
-  (void)run_sweep(retry_grid(), {.threads = 1, .oracle = &cache});
-  const auto dir = scratch_dir("retry_persistent");
-  const std::size_t expected = save_oracle_cache(cache, (dir / "baseline").string());
-  ASSERT_GE(expected, 2U);
-
-  // Every try of the first file's write fails; later files are untouched.
-  std::ostringstream log;
-  std::vector<std::uint32_t> delays;
-  SaveRetryOptions retry;
-  retry.attempts = 3;
-  retry.sleep = [&](std::uint32_t ms) { delays.push_back(ms); };
-  retry.fail_op = [&](std::size_t op) { return op < 3; };
-  retry.log = &log;
-  const std::size_t saved = save_oracle_cache(cache, (dir / "a").string(), retry);
-  EXPECT_EQ(saved, expected - 1);
-  EXPECT_EQ(delays.size(), 2U) << "attempts - 1 backoffs per failed operation";
-  EXPECT_NE(log.str().find("oracle-cache: skipping"), std::string::npos) << log.str();
-  EXPECT_NE(log.str().find("write kept failing"), std::string::npos) << log.str();
-
-  // The skipped file left no litter, and a loader sees only complete files.
-  std::size_t okv = 0;
-  for (const auto& file : fs::directory_iterator(dir / "a")) {
-    EXPECT_EQ(file.path().extension(), ".okv") << file.path();
-    ++okv;
-  }
-  EXPECT_EQ(okv, expected - 1);
-  OracleCache loaded;
-  EXPECT_EQ(load_oracle_cache(loaded, (dir / "a").string()), expected - 1);
-
-  // A rename-side persistent failure is the same verdict, labeled rename.
-  std::ostringstream rename_log;
-  SaveRetryOptions rename_retry;
-  rename_retry.attempts = 3;
-  rename_retry.sleep = [](std::uint32_t) {};
-  rename_retry.fail_op = [](std::size_t op) { return op >= 1 && op <= 3; };
-  rename_retry.log = &rename_log;
-  EXPECT_EQ(save_oracle_cache(cache, (dir / "b").string(), rename_retry), expected - 1);
-  EXPECT_NE(rename_log.str().find("rename kept failing"), std::string::npos) << rename_log.str();
-  for (const auto& file : fs::directory_iterator(dir / "b")) {
-    EXPECT_EQ(file.path().extension(), ".okv") << file.path();
-  }
-}
-
 // ------------------------------------------------- fault-injection shim
 //
 // Simulates a shard writer that dies at its Nth line write: `fail` ends
@@ -506,26 +378,6 @@ TEST(Shard, StreamFileReportsUnusablePathsAsErrors) {
   EXPECT_FALSE(fresh.error.empty());
   const auto resumed = stream_sweep_file(cells, opts, dir.string(), /*resume=*/true);
   EXPECT_FALSE(resumed.error.empty());
-}
-
-TEST(Shard, PreloadedEntriesDoNotShadowFreshDerivations) {
-  // preload() must be a pure cache warm-up: counters untouched, and an
-  // in-memory entry always wins over a later preload of the same key.
-  const auto cells = shard_grid();
-  OracleCache cache;
-  StreamOptions opts;
-  opts.sweep.oracle = &cache;
-  std::ostringstream sink;
-  (void)stream_sweep(cells, opts, sink);
-  const auto stats_before = cache.stats();
-
-  const auto dir = scratch_dir("preload");
-  const std::string cache_dir = (dir / "cache").string();
-  ASSERT_GT(save_oracle_cache(cache, cache_dir), 0U);
-  EXPECT_EQ(load_oracle_cache(cache, cache_dir), 0U)
-      << "every persisted key is already resident, so nothing preloads";
-  EXPECT_EQ(cache.stats().hits, stats_before.hits) << "preload must not touch counters";
-  EXPECT_EQ(cache.stats().misses, stats_before.misses);
 }
 
 }  // namespace

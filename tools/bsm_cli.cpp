@@ -305,7 +305,6 @@ struct SweepCli {
   core::ShardSpec shard;
   bool shard_given = false;
   bool resume = false;
-  std::string oracle_dir;
   std::uint64_t checkpoint_every = 64;
 
   ObsCli obs;
@@ -319,12 +318,11 @@ struct SweepCli {
       "enumerates the cartesian grid over every axis below and runs\n"
       "each cell on a work-stealing thread pool. Default output: one inline JSON\n"
       "document on stdout with per-cell outcomes, aggregate totals, the scheduler\n"
-      "shape, and the oracle-cache counters. With --out FILE.jsonl the results\n"
+      "shape, and the oracle cache counters. With --out FILE.jsonl the results\n"
       "stream to FILE as JSONL — one line per cell in deterministic grid order\n"
       "with periodic checkpoint records — and stdout gets a JSON summary report;\n"
-      "--shard i/N runs one contiguous shard of the grid, --resume continues a\n"
-      "killed run from its last complete line, and --oracle-cache DIR persists\n"
-      "solvability verdicts across shard processes. Merged shard outputs are\n"
+      "--shard i/N runs one contiguous shard of the grid and --resume continues\n"
+      "a killed run from its last complete line. Merged shard outputs are\n"
       "byte-identical to the single-process sweep (see `bsm_cli merge`).\n"
       "Exit 0 iff every solvable cell held all four properties";
   sub.flags = {
@@ -461,13 +459,6 @@ struct SweepCli {
   sub.flags.push_back(cli::flag(
       "--resume", "continue an interrupted --out run from its last complete line",
       [&o] { o.resume = true; }));
-  sub.flags.push_back(cli::value_flag(
-      "--oracle-cache", "DIR", "persist/reuse solvability verdicts across processes",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        if (v.empty()) return "expected a directory path";
-        o.oracle_dir = v;
-        return std::nullopt;
-      }));
   sub.flags.push_back(bounded_flag(
       "--checkpoint-every", "N", "JSONL checkpoint period in cells (default: 64)", 1, 1'000'000,
       [&o](std::uint64_t n) { o.checkpoint_every = n; }));
@@ -514,11 +505,6 @@ int run_sweep_command(int argc, char** argv) {
     }
   }
 
-  std::size_t oracle_loaded = 0;
-  if (!o.oracle_dir.empty()) {
-    oracle_loaded = core::load_oracle_cache(core::OracleCache::global(), o.oracle_dir);
-  }
-
   if (!o.out_path.empty()) {
     core::StreamOptions sopts;
     sopts.shard = o.shard;
@@ -528,10 +514,6 @@ int run_sweep_command(int argc, char** argv) {
     if (!res.error.empty()) {
       std::cerr << "sweep: " << res.error << "\n";
       return 2;
-    }
-    std::size_t oracle_saved = 0;
-    if (!o.oracle_dir.empty()) {
-      oracle_saved = core::save_oracle_cache(core::OracleCache::global(), o.oracle_dir);
     }
     const auto& st = res.stats;
     const auto [begin, end] = o.shard.range(cells.size());
@@ -550,8 +532,6 @@ int run_sweep_command(int argc, char** argv) {
               << ", \"resumed_complete\": " << (res.resumed_complete ? "true" : "false")
               << ",\n  \"cells\": " << st.cells << ", \"ran\": " << st.ran
               << ", \"emitted\": " << st.emitted << ", \"resumed\": " << st.resumed
-              << ",\n  \"oracle_loaded\": " << oracle_loaded
-              << ", \"oracle_saved\": " << oracle_saved
               << ",\n  \"scheduler\": {\"threads\": " << st.sweep.threads
               << ", \"chunks\": " << st.sweep.chunks << ", \"steals\": " << st.sweep.steals
               << "},\n  \"oracle_cache\": {\"hits\": " << st.sweep.oracle.hits
@@ -565,9 +545,6 @@ int run_sweep_command(int argc, char** argv) {
   // Inline document (the historical sweep output; CI smoke parses it).
   core::SweepStats stats;
   const auto results = core::run_sweep(cells, o.opts, &stats);
-  if (!o.oracle_dir.empty()) {
-    (void)core::save_oracle_cache(core::OracleCache::global(), o.oracle_dir);
-  }
   std::string metrics_part;
   if (obs_session.metrics_enabled()) {
     metrics_part = "\"metrics\": " + obs_session.metrics_json() + ",\n  ";
@@ -1143,7 +1120,7 @@ int run_run_command(int argc, char** argv, int first) {
   std::cout << "Verdict:   " << core::solvability_reason(opt.cfg) << "\n";
   if (!core::solvable(opt.cfg)) {
     std::cout << "This setting is IMPOSSIBLE per the paper; nothing to run.\n"
-              << "(See bench_attack_lemma5/7/13 for executable impossibility proofs.)\n";
+              << "(See `bsm_cli bench --filter attack_lemma` for the executable proofs.)\n";
     return 2;
   }
 
@@ -1271,9 +1248,8 @@ int main(int argc, char** argv) {
     if (sub == "explore") return run_explore_command(argc, argv);
     if (sub == "fuzz") return run_fuzz_command(argc, argv);
     if (sub == "bench") {
-      // The registered suite = every case group the bench/ binaries run.
       benchcases::register_all();
-      return core::bench_main(argc - 1, argv + 1, {.default_json = "-"});
+      return core::bench_main(argc - 1, argv + 1);
     }
     if (sub == "run") first = 2;  // explicit alias for the default mode
   }

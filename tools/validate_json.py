@@ -10,11 +10,11 @@ Since schema v2 every report leads with the shared envelope
 (schema_version, subcommand, git_sha, and — where the document is not
 contractually byte-identical across thread counts — threads), so one
 validator can dispatch on `subcommand` instead of one script per schema
-guessing from shape. The old entry points (validate_bench_json.py,
-validate_sched_json.py, validate_explore_json.py) forward here.
+guessing from shape. Pin a schema with `--schema bench|explore|fuzz`
+where the caller knows what it is checking.
 
 Schemas (documented field-by-field in docs/BENCHMARKS.md):
-  bench    BENCH_results.json from `bsm_cli bench` / the bench/ binaries
+  bench    BENCH_results.json from `bsm_cli bench`
   sweep    `bsm_cli sweep`: the inline JSON document, the --out summary
            report, or a JSONL shard document (the three are auto-told-apart)
   explore  `bsm_cli explore` report
@@ -181,19 +181,18 @@ def validate_bench(doc):
 # The observability recorder's versioned report block (docs/OBSERVABILITY.md),
 # optionally present on sweep/explore/fuzz reports when the run enabled
 # --metrics or --trace-out. Keys are pinned against src/obs/recorder.cpp.
-METRICS_VERSION = 1
+METRICS_VERSION = 2
 
 METRICS_COUNTER_KEYS = (
     "engine_rounds", "cells_done", "chunks", "steals", "idle_exits",
     "oracle_hits", "oracle_misses", "oracle_inserts", "cells_emitted",
-    "checkpoints", "flushes", "okv_saved_entries", "okv_loaded_entries",
-    "evals",
+    "checkpoints", "flushes", "evals",
 )
 
 METRICS_SPAN_KEYS = (
     "engine_assemble", "engine_policy", "engine_deliver", "engine_on_round",
     "sweep_chunk", "sweep_cell", "oracle_hit", "oracle_miss", "shard_emit",
-    "shard_checkpoint", "shard_flush", "okv_save", "okv_load", "sched_eval",
+    "shard_checkpoint", "shard_flush", "sched_eval",
 )
 
 METRICS_TOP_FIELDS = {
@@ -280,12 +279,14 @@ SWEEP_SUMMARY_FIELDS = {
     "ran": int,
     "emitted": int,
     "resumed": int,
-    "oracle_loaded": int,
-    "oracle_saved": int,
     "scheduler": dict,
     "oracle_cache": dict,
     "all_properties_held": bool,
 }
+
+# Summary fields of the removed persisted oracle cache: still accepted, so
+# summaries written before its removal validate (schema_version is unchanged).
+SWEEP_SUMMARY_RETIRED = ("oracle_loaded", "oracle_saved")
 
 CELL_BASE_FIELDS = {
     "topology": str,
@@ -384,7 +385,7 @@ def validate_sweep_json(doc):
             errors.append("top level: all_properties_held disagrees with the cells")
     else:
         check_fields(doc, SWEEP_SUMMARY_FIELDS, "top level", errors,
-                     extra_ok=("metrics",))
+                     extra_ok=("metrics",) + SWEEP_SUMMARY_RETIRED)
         check_envelope(doc, "sweep", "top level", errors)
         grid = doc.get("grid_digest")
         if isinstance(grid, str) and not DIGEST_RE.match(grid):
