@@ -47,11 +47,17 @@ class TallyArena {
     order_.clear();
     seen_.clear();
     std::fill(slots_.begin(), slots_.end(), 0);
+    // Honest parties mostly send equal values, so a value equal to the one
+    // the previous message landed on reuses that bucket without hashing.
+    std::uint32_t last = kNoBucket;
     for (const auto& msg : inbox) {
       const auto kv = decode_kv_view(msg.body);
       if (!kv || kv->kind != kind || seen_.contains(msg.from)) continue;
       seen_.insert(msg.from);
-      buckets_[find_or_insert(kv->value)].senders.insert(msg.from);
+      if (last == kNoBucket || !std::ranges::equal(buckets_[last].value, kv->value)) {
+        last = find_or_insert(kv->value);
+      }
+      buckets_[last].senders.insert(msg.from);
     }
     order_.resize(size_);
     for (std::uint32_t i = 0; i < size_; ++i) order_[i] = i;
@@ -68,6 +74,8 @@ class TallyArena {
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
 
  private:
+  static constexpr std::uint32_t kNoBucket = UINT32_MAX;
+
   /// Open-addressed lookup by (digest, full bytes); claims a fresh bucket
   /// slot (reusing retired Bucket storage) on miss.
   [[nodiscard]] std::uint32_t find_or_insert(std::span<const std::uint8_t> value) {

@@ -49,6 +49,11 @@ class Pki {
 
   /// Public verification: does `sig` bind `signer` to `msg`?
   [[nodiscard]] bool verify(PartyId signer, const Bytes& msg, const Signature& sig) const;
+  /// verify() for a message known by its fnv1a64 digest: the same verdict
+  /// as verify(signer, msg, sig) whenever digest == fnv1a64(msg), for
+  /// callers that already hold the digest.
+  [[nodiscard]] bool verify_digest(PartyId signer, std::uint64_t digest,
+                                   const Signature& sig) const;
 
   /// Issue the signing capability for `id`. The engine calls this once per
   /// party; nothing else should.
@@ -56,7 +61,7 @@ class Pki {
 
  private:
   friend class Signer;
-  [[nodiscard]] std::uint64_t tag_for(PartyId id, const Bytes& msg) const;
+  [[nodiscard]] std::uint64_t tag_for(PartyId id, std::uint64_t digest) const;
 
   std::vector<std::uint64_t> secret_;
 };

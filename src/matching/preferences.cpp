@@ -6,8 +6,18 @@ namespace bsm::matching {
 
 bool is_valid_preference_list(const PreferenceList& list, Side owner_side, std::uint32_t k) {
   if (list.size() != k) return false;
-  std::vector<bool> seen(2 * k, false);
   const Side target = opposite(owner_side);
+  if (2 * static_cast<std::uint64_t>(k) <= 64) {
+    // Every market of up to 32 parties a side: one word of seen-bits, no
+    // allocation (decisions validate each list about three times).
+    std::uint64_t seen = 0;
+    for (PartyId id : list) {
+      if (id >= 2 * k || side_of(id, k) != target || ((seen >> id) & 1U) != 0) return false;
+      seen |= std::uint64_t{1} << id;
+    }
+    return true;
+  }
+  std::vector<bool> seen(2 * k, false);
   for (PartyId id : list) {
     if (id >= 2 * k || side_of(id, k) != target || seen[id]) return false;
     seen[id] = true;

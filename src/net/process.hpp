@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,12 +24,26 @@
 
 namespace bsm::net {
 
+class RelayRouter;
+struct RelayMemo;
+
 /// An immutable, shared message payload: the bytes and their fnv1a64
 /// digest, computed once when the payload is made. Copies share one buffer
 /// (a reference-count bump), so a broadcast queues n references to the
 /// same bytes instead of n heap copies, and a process that keeps a message
 /// past its round keeps it alive by keeping a copy. A default-constructed
 /// payload is empty and allocates nothing.
+///
+/// Bytes and digest never change. Beside them the shared record holds one
+/// pointer to a `RelayMemo`, which only `RelayRouter` reads or writes: the
+/// first relay of a relay request stores there the forward frame it built
+/// (and, in the authenticated modes, the signed-content digest it checked)
+/// so the other relays of the same request reuse both. The memo is a pure
+/// function of the bytes and the source id it names, so it never changes
+/// what any party sends. It is per-run state: a payload belongs to one run,
+/// and one run steps its parties on one thread. Only request frames carry
+/// a memo and it points at a forward frame, which carries none, so memos
+/// never form a reference cycle.
 class Payload {
  public:
   Payload() = default;
@@ -46,14 +61,29 @@ class Payload {
   [[nodiscard]] std::uint64_t digest() const noexcept { return rep_ ? rep_->digest : kEmptyDigest; }
 
  private:
+  friend class RelayRouter;
+
   struct Rep {
     std::uint64_t digest;  ///< first: shares a cache line with the size the fold reads
     Bytes bytes;
+    mutable std::unique_ptr<RelayMemo> memo;  ///< RelayRouter's; see the class comment
   };
   static inline const Bytes kEmpty{};
   static constexpr std::uint64_t kEmptyDigest = 0xcbf29ce484222325ULL;  ///< fnv1a64({})
 
+  /// The relay memo slot of a non-empty payload.
+  [[nodiscard]] std::unique_ptr<RelayMemo>& memo() const noexcept { return rep_->memo; }
+
   std::shared_ptr<const Rep> rep_;
+};
+
+/// What the relays of one relay request share (see Payload): the forward
+/// frame for `src`, and the digest of the content `src` had to sign, once
+/// some relay in an authenticated mode computed it.
+struct RelayMemo {
+  PartyId src = kNobody;
+  Payload forward;
+  std::optional<std::uint64_t> signed_digest;
 };
 
 /// A physical message in flight or delivered. Copying one is cheap: the

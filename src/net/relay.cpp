@@ -1,5 +1,9 @@
 #include "net/relay.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+
 #include "common/hash.hpp"
 
 namespace bsm::net {
@@ -135,21 +139,39 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;
         continue;
       }
-      if (auth && !ctx.pki().verify(src, signed_content(src, dst, id, tau, body), sig)) {
-        ++rejected_;
-        continue;
+      // The k relays of one request receive one shared payload: the first
+      // to get here leaves the forward frame and the signed-content digest
+      // in the payload's memo, the others reuse them. A request re-sent
+      // under another source id (a replay) gets its own, unstored memo.
+      auto& slot = env.payload.memo();
+      if (!slot) {
+        slot = std::make_unique<RelayMemo>();
+        slot->src = src;
       }
-      // The forwarded frame is the request frame with the tag swapped and
-      // the source prepended (dst == the request's `to`, all other fields
-      // verbatim) — patching the received bytes is byte-identical to the
-      // re-encode it replaces.
-      const auto req = env.payload.span();
-      Bytes fwd;
-      fwd.reserve(req.size() + 4);
-      fwd.push_back(kRelayFwd);
-      append_u32_le(fwd, src);
-      fwd.insert(fwd.end(), req.begin() + 1, req.end());
-      ctx.send(dst, std::move(fwd));
+      RelayMemo fresh;
+      RelayMemo& memo = slot->src == src ? *slot : fresh;
+      if (auth) {
+        if (!memo.signed_digest) {
+          memo.signed_digest = fnv1a64(signed_content(src, dst, id, tau, body));
+        }
+        if (!ctx.pki().verify_digest(src, *memo.signed_digest, sig)) {
+          ++rejected_;
+          continue;
+        }
+      }
+      if (memo.forward.empty()) {
+        // The request frame with the tag swapped and the source prepended
+        // (dst == the request's `to`, all other fields verbatim): patching
+        // the received bytes is byte-identical to a re-encode.
+        const auto req = env.payload.span();
+        Bytes fwd;
+        fwd.reserve(req.size() + 4);
+        fwd.push_back(kRelayFwd);
+        append_u32_le(fwd, src);
+        fwd.insert(fwd.end(), req.begin() + 1, req.end());
+        memo.forward = Payload(std::move(fwd));
+      }
+      ctx.send(dst, memo.forward);
       continue;
     }
 
@@ -166,24 +188,12 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;
         continue;
       }
-      if (accepted_.contains({src, id})) continue;  // replay / duplicate
+      Track& t = track(src, id);
+      if (t.accepted) continue;  // replay / duplicate
 
       if (mode_ == RelayMode::UnauthMajority) {
-        // Count distinct forwarders vouching for identical content. The
-        // first copy of each distinct content is kept (a view sharing its
-        // envelope's payload); a digest collision inside one (src, id)
-        // bucket would merge votes, exactly as it (harmlessly, and
-        // identically) did when the seed implementation keyed this map by
-        // fnv1a64 too.
-        auto& bucket = pending_[MajorityKey{src, id}];
-        auto& [stored, voters] = bucket.by_digest[fnv1a64(body)];
-        if (stored.from == kNobody) stored = AppMsg(src, body, env.payload);
-        voters.insert(env.from);
-        if (2 * voters.count() > k) {
-          accepted_.insert({src, id});
-          out.push_back(std::move(stored));
-          pending_.erase(MajorityKey{src, id});
-        }
+        // Count distinct forwarders vouching for identical content.
+        if (vote(t, env.from, k, body, env.payload, out)) t.accepted = true;
         continue;
       }
 
@@ -195,7 +205,7 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
         ++rejected_;  // stale: outside the 2 * Delta window (Lemma 10)
         continue;
       }
-      accepted_.insert({src, id});
+      t.accepted = true;
       out.emplace_back(src, body, env.payload);
       continue;
     }
@@ -203,6 +213,93 @@ std::vector<AppMsg> RelayRouter::route(Context& ctx, Inbox inbox) {
     ++rejected_;  // unknown frame tag
   }
   return out;
+}
+
+bool RelayRouter::vote(Track& t, PartyId voter, std::uint32_t k,
+                       std::span<const std::uint8_t> body, const Payload& payload,
+                       std::vector<AppMsg>& out) {
+  // Votes are keyed by content digest: a collision merges two contents
+  // (harmless, and part of the pinned transcripts). The k forwards of one
+  // request share one payload, so the usual match is a stored first copy at
+  // the same address, and a (src, id) that only ever sees one content is
+  // never hashed. A second content hashes itself and, once, each stored one.
+  const auto same = [&](const Vote& v) {
+    return v.first.body.size() == body.size() &&
+           (v.first.body.data() == body.data() || std::ranges::equal(v.first.body, body));
+  };
+  std::uint32_t at = t.votes;
+  while (at != kNone && !same(votes_[at])) at = votes_[at].next;
+  if (at == kNone) {
+    std::optional<std::uint64_t> digest;
+    if (t.votes != kNone) {
+      digest = fnv1a64(body);
+      for (at = t.votes; at != kNone; at = votes_[at].next) {
+        Vote& v = votes_[at];
+        if (!v.digest) v.digest = fnv1a64(v.first.body);
+        if (v.digest == digest) break;
+      }
+    }
+    if (at == kNone) {
+      if (free_votes_ != kNone) {
+        at = free_votes_;
+        free_votes_ = votes_[at].next;
+      } else {
+        at = static_cast<std::uint32_t>(votes_.size());
+        votes_.emplace_back();
+      }
+      Vote& v = votes_[at];
+      v.first = AppMsg(t.src, body, payload);
+      v.digest = digest;
+      v.voters.clear();
+      v.next = t.votes;
+      t.votes = at;
+    }
+  }
+  Vote& winner = votes_[at];
+  winner.voters.insert(voter);
+  if (2 * winner.voters.count() <= k) return false;
+  out.push_back(std::move(winner.first));
+  // Retire the track's votes (releasing the payloads they hold).
+  std::uint32_t last = t.votes;
+  for (std::uint32_t v = t.votes; v != kNone; v = votes_[v].next) {
+    votes_[v].first = AppMsg();
+    last = v;
+  }
+  votes_[last].next = free_votes_;
+  free_votes_ = t.votes;
+  t.votes = kNone;
+  return true;
+}
+
+namespace {
+
+[[nodiscard]] std::size_t track_home(PartyId src, std::uint64_t id, std::size_t capacity) {
+  return static_cast<std::size_t>(hash_combine(src, id)) & (capacity - 1);
+}
+
+}  // namespace
+
+RelayRouter::Track& RelayRouter::track(PartyId src, std::uint64_t id) {
+  if (track_slots_.size() < 2 * (tracks_.size() + 1)) grow_tracks();
+  const std::size_t mask = track_slots_.size() - 1;
+  std::size_t i = track_home(src, id, track_slots_.size());
+  for (; track_slots_[i] != 0; i = (i + 1) & mask) {
+    Track& t = tracks_[track_slots_[i] - 1];
+    if (t.src == src && t.id == id) return t;
+  }
+  tracks_.push_back(Track{src, id});
+  track_slots_[i] = static_cast<std::uint32_t>(tracks_.size());
+  return tracks_.back();
+}
+
+void RelayRouter::grow_tracks() {
+  const std::size_t cap = track_slots_.empty() ? 16 : track_slots_.size() * 2;
+  track_slots_.assign(cap, 0);
+  for (std::uint32_t idx = 0; idx < tracks_.size(); ++idx) {
+    std::size_t i = track_home(tracks_[idx].src, tracks_[idx].id, cap);
+    while (track_slots_[i] != 0) i = (i + 1) & (cap - 1);
+    track_slots_[i] = idx + 1;
+  }
 }
 
 }  // namespace bsm::net

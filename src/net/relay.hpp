@@ -18,13 +18,25 @@
 // The router is symmetric infrastructure: every honest process routes its
 // physical inbox through `route`, which both performs its forwarding duties
 // for others and surfaces the application-level messages addressed to it.
+//
+// Relay once: a sender hands one shared request payload to its k relays,
+// and the forward frame [kRelayFwd][src][request after its tag] and the
+// digest of the content src signed are pure functions of that payload and
+// src. The first relay to handle the request stores both in the payload's
+// RelayMemo (see net::Payload); the other k-1 send that same forward
+// payload (one buffer, one digest) and check the signature against the
+// stored digest. The checks that depend on the relay stay per relay: dst
+// is not the relay itself and shares a channel with it, and every relay
+// counts a bad request in its own rejected(). A request re-sent under
+// another source id is handled from scratch and its memo is not stored.
+// At the destination the majority vote compares each copy's body with the
+// first copy of each content seen for its (src, id), usually the same
+// buffer, and hashes bodies only once a second content shows up.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -81,33 +93,48 @@ class RelayRouter {
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
 
  private:
-  struct MajorityKey {
-    PartyId src;
-    std::uint64_t id;
-    [[nodiscard]] bool operator==(const MajorityKey&) const = default;
+  /// One voted content of a relayed (src, id): the first copy (a view
+  /// sharing its envelope's payload), its body digest once some other
+  /// content needed it, and its voters. Votes of one key form a list
+  /// through `next`; retired votes go to a free list and keep their
+  /// voter-set storage.
+  struct Vote {
+    AppMsg first;
+    std::optional<std::uint64_t> digest;
+    core::PartySet voters;
+    std::uint32_t next = kNone;
   };
-  struct MajorityKeyHash {
-    [[nodiscard]] std::size_t operator()(const MajorityKey& k) const noexcept {
-      return static_cast<std::size_t>(hash_combine(k.src, k.id));
-    }
+  /// The replay guard and vote accumulator of one relayed (src, id).
+  struct Track {
+    PartyId src = kNobody;
+    std::uint64_t id = 0;
+    bool accepted = false;
+    std::uint32_t votes = kNone;  ///< head of the vote list while pending
   };
-  struct MajorityBucket {
-    // Distinct contents per (src, id) are adversarial and rare; the inner
-    // map stays ordered but its values are flat (the first copy's message,
-    // sharing its envelope's payload, + voter bitset).
-    std::map<std::uint64_t, std::pair<AppMsg, core::PartySet>> by_digest;
-  };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
   [[nodiscard]] static Bytes signed_content(PartyId src, PartyId dst, std::uint64_t id,
                                             Round tau, std::span<const std::uint8_t> body);
 
+  /// The track of (src, id), made (pending, no votes) on first sight.
+  [[nodiscard]] Track& track(PartyId src, std::uint64_t id);
+  void grow_tracks();
+  /// Count `voter` for `body` on a pending track; true once some content
+  /// has a strict majority of the k relays, which is then moved to `out`.
+  [[nodiscard]] bool vote(Track& t, PartyId voter, std::uint32_t k,
+                          std::span<const std::uint8_t> body, const Payload& payload,
+                          std::vector<AppMsg>& out);
+
   RelayMode mode_;
   std::uint64_t next_id_ = 0;
-  // (src, id) replay guard and vote accumulator: hash tables — both are
-  // probed once per forwarded copy and never iterated, so bucket order
-  // cannot leak into behavior.
-  std::unordered_set<MajorityKey, MajorityKeyHash> accepted_;
-  std::unordered_map<MajorityKey, MajorityBucket, MajorityKeyHash> pending_;
+  // (src, id) tracks in one flat open-addressed table (TallyArena style:
+  // slots hold track index + 1, 0 = empty). Probed once per forwarded copy
+  // and never iterated, so table order cannot leak into behavior; tracks
+  // are never removed, an accepted one is the replay guard.
+  std::vector<Track> tracks_;
+  std::vector<std::uint32_t> track_slots_;
+  std::vector<Vote> votes_;
+  std::uint32_t free_votes_ = kNone;
   std::uint64_t rejected_ = 0;
   // Common-neighbour lists are a pure function of (self, to, topology), so
   // each router memoizes them: the send loop walked every party with two

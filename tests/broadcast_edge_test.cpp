@@ -3,7 +3,11 @@
 // parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "adversary/shims.hpp"
 #include "adversary/strategies.hpp"
@@ -15,6 +19,8 @@
 #include "broadcast/quorums.hpp"
 #include "broadcast/wire.hpp"
 #include "common/codec.hpp"
+#include "common/party_set.hpp"
+#include "common/rng.hpp"
 #include "net/engine.hpp"
 
 namespace bsm::broadcast {
@@ -146,6 +152,126 @@ TEST(DolevStrongEdge, ForgedChainsAreRejected) {
     ASSERT_TRUE(inst.done());
     ASSERT_TRUE(inst.output().has_value());
     EXPECT_EQ(*inst.output(), val(9));
+  }
+}
+
+/// A context for stepping one instance outside the engine: the real
+/// topology and PKI, one fixed party and round, sends recorded.
+class RecordingContext final : public net::Context {
+ public:
+  RecordingContext(const net::Topology& topo, const crypto::Pki& pki, PartyId self, Round round)
+      : topo_(&topo), pki_(&pki), signer_(pki.signer_for(self)), self_(self), round_(round) {}
+
+  void send(PartyId to, const net::Payload& payload) override {
+    sent.push_back({self_, to, round_, payload});
+  }
+  [[nodiscard]] Round round() const override { return round_; }
+  [[nodiscard]] PartyId self() const override { return self_; }
+  [[nodiscard]] const net::Topology& topology() const override { return *topo_; }
+  [[nodiscard]] const crypto::Signer& signer() const override { return signer_; }
+  [[nodiscard]] const crypto::Pki& pki() const override { return *pki_; }
+
+  std::vector<net::Envelope> sent;
+
+ private:
+  const net::Topology* topo_;
+  const crypto::Pki* pki_;
+  crypto::Signer signer_;
+  PartyId self_;
+  Round round_;
+};
+
+TEST(DolevStrongEdge, MutatedChainFramesExtractAndRelayNothing) {
+  // Real chain frames from a k = 3 fully-connected Dolev-Strong run
+  // (sender 0, t = 2, all six parties), each mutated by a seeded battery:
+  // truncation at every length, the value-length and signer-count fields
+  // inflated (+1, 4096, 4097, 0xFFFFFFFF), and 64 random 1-3-bit flips.
+  // Each mutant goes alone through a real DolevStrong step at a party the
+  // pristine chain would convince. Invariant: nothing throws, and a mutant
+  // that differs from its frame (so is malformed or forged) extracts no
+  // value and relays nothing. Failures name (frame, mutant).
+  const net::Topology topo(net::TopologyKind::FullyConnected, 3);
+  const std::uint32_t t = 2;
+  std::vector<PartyId> parts{0, 1, 2, 3, 4, 5};
+  core::PartySet mask(6);
+  for (PartyId p : parts) mask.insert(p);
+  net::Engine engine(topo, 1);
+  for (PartyId id : parts) {
+    engine.set_process(id, std::make_unique<Host>(net::RelayMode::Direct, 1, parts,
+                                                  std::make_unique<DolevStrong>(
+                                                      0, t, id == 0 ? val(9) : Bytes{})));
+  }
+  std::vector<Bytes> chains;  // distinct chain bodies, in delivery order
+  engine.set_observer([&](const net::Envelope& env) {
+    Reader direct(env.payload.span());
+    (void)direct.u8();
+    Reader frame(direct.bytes_view());
+    (void)frame.u32();  // channel 0
+    const auto inner = frame.bytes_view();
+    Bytes chain(inner.begin(), inner.end());
+    if (std::find(chains.begin(), chains.end(), chain) == chains.end()) chains.push_back(chain);
+  });
+  engine.run(t + 2);
+  engine.set_observer(nullptr);
+  ASSERT_EQ(chains.size(), 6U) << "the sender's chain and five countersigned ones";
+
+  Rng rng(0xd5);
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    const Bytes& pristine = chains[c];
+    Reader r(pristine);
+    (void)r.u8();
+    const auto value = r.bytes_view();
+    const std::uint32_t signers = r.u32();
+    std::set<PartyId> signed_by;
+    for (std::uint32_t i = 0; i < signers; ++i) {
+      signed_by.insert(r.u32());
+      (void)crypto::Signature::decode(r);
+    }
+    ASSERT_TRUE(r.done());
+    PartyId self = 0;
+    while (signed_by.contains(self)) ++self;  // a party the chain would convince
+    const std::size_t count_at = 1 + 4 + value.size();
+
+    std::vector<Bytes> battery;
+    for (std::size_t len = 0; len < pristine.size(); ++len) {
+      battery.emplace_back(pristine.begin(), pristine.begin() + static_cast<std::ptrdiff_t>(len));
+    }
+    for (const std::size_t at : {std::size_t{1}, count_at}) {
+      const std::uint32_t real = Reader(std::span(pristine).subspan(at)).u32();
+      for (const std::uint32_t len : {real + 1, 4096U, 4097U, 0xFFFFFFFFU}) {
+        Bytes bad = pristine;
+        store_u32_le(bad, at, len);
+        battery.push_back(std::move(bad));
+      }
+    }
+    for (int i = 0; i < 64; ++i) {
+      Bytes bad = pristine;
+      const std::uint64_t flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) bad[rng.below(bad.size())] ^= 1U << rng.below(8);
+      battery.push_back(std::move(bad));
+    }
+
+    // The pristine frame first, as the control.
+    battery.insert(battery.begin(), pristine);
+    for (std::size_t b = 0; b < battery.size(); ++b) {
+      const std::string where = ::testing::PrintToString(std::pair(c, b));
+      InstanceHub hub(net::RelayMode::Direct, 1);
+      RecordingContext ctx(topo, engine.pki(), self, signers);
+      InstanceIo io(hub, ctx, 0, parts, mask);
+      DolevStrong ds(0, t, Bytes{});
+      const std::vector<net::AppMsg> inbox{net::AppMsg(0, battery[b])};
+      ASSERT_NO_THROW(ds.step(io, signers, inbox)) << where;
+      const bool relayed = !ctx.sent.empty();
+      if (!ds.done()) ASSERT_NO_THROW(ds.step(io, ds.duration(), {})) << where;
+      ASSERT_TRUE(ds.done()) << where;
+      if (battery[b] == pristine) {
+        EXPECT_EQ(ds.output(), std::optional<Bytes>(Bytes(value.begin(), value.end()))) << where;
+        EXPECT_EQ(relayed, signers <= t) << where;
+      } else {
+        EXPECT_FALSE(ds.output().has_value()) << where;
+        EXPECT_FALSE(relayed) << where;
+      }
+    }
   }
 }
 

@@ -73,12 +73,36 @@ using adversary::SplitBrain;
   return inbox;
 }
 
+/// Long runs of one value, as honest parties send them (the tally's
+/// previous-bucket shortcut), broken by runs of other values, messages of
+/// other kinds and malformed bodies.
+[[nodiscard]] std::vector<net::AppMsg> runs_inbox(Rng& rng, std::uint32_t n_parties) {
+  std::vector<net::AppMsg> inbox;
+  const std::uint32_t n_runs = 1 + static_cast<std::uint32_t>(rng.below(6));
+  for (std::uint32_t run = 0; run < n_runs; ++run) {
+    const auto kind = static_cast<MsgKind>(1 + rng.below(4));
+    const Bytes value = rng.chance(0.2) ? Bytes{} : rng.random_bytes(1 + rng.below(3));
+    const std::uint64_t length = 1 + rng.below(3 * n_parties);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      const PartyId from = static_cast<PartyId>(rng.below(n_parties));
+      if (rng.chance(0.05)) {
+        inbox.push_back({from, rng.random_bytes(rng.below(6))});
+      } else if (rng.chance(0.05)) {
+        inbox.push_back({from, encode_kv(static_cast<MsgKind>(1 + rng.below(4)), Bytes{0x42})});
+      } else {
+        inbox.push_back({from, encode_kv(kind, value)});
+      }
+    }
+  }
+  return inbox;
+}
+
 TEST(TallyArena, MatchesReferenceTallyOnRandomInboxes) {
   Rng rng(99);
   TallyArena arena;  // one arena reused across every round, like an instance
-  for (int round = 0; round < 300; ++round) {
+  for (int round = 0; round < 600; ++round) {
     const std::uint32_t n_parties = 3 + static_cast<std::uint32_t>(rng.below(70));
-    const auto inbox = random_inbox(rng, n_parties);
+    const auto inbox = round % 2 == 0 ? random_inbox(rng, n_parties) : runs_inbox(rng, n_parties);
     const auto kind = static_cast<MsgKind>(1 + rng.below(4));
     const auto ref = reference_tally(inbox, kind);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "adversary/shims.hpp"
 #include "adversary/strategies.hpp"
@@ -34,13 +35,19 @@ class Host final : public net::Process {
   InstanceHub hub_;
 };
 
+// gtest prints a parameter it has no printer for as its raw object bytes,
+// and that text ends every discovered test name ("# GetParam() = ...").
+// Implicit padding bytes are indeterminate, so they made the names differ
+// from build to build; the padding here is an explicit, zeroed member.
 struct SweepCase {
   std::uint32_t n;        ///< participants
   std::uint32_t t;        ///< threshold
   std::uint32_t corrupt;  ///< actually corrupted (<= t)
   bool sender_corrupt;    ///< is the designated sender among them?
   bool use_dolev_strong;  ///< engine selection
+  std::uint8_t padding[2] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class BroadcastSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -2,6 +2,8 @@
 // topologies, cryptographic settings, and adversary batteries.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "adversary/strategies.hpp"
 #include "core/oracle.hpp"
 #include "core/runner.hpp"
@@ -43,11 +45,20 @@ TEST(Btm, FaultFreeUnauthFullyConnectedMatchesOfflineGaleShapley) {
   for (PartyId id = 0; id < 6; ++id) EXPECT_EQ(out.decisions[id], expected[id]);
 }
 
+// gtest prints a parameter it has no printer for as its raw object bytes,
+// and that text ends every discovered test name ("# GetParam() = ...").
+// Implicit padding bytes are indeterminate, so they made the names differ
+// from build to build; the padding here is an explicit, zeroed member.
 struct Cell {
+  constexpr Cell(TopologyKind topo_, bool auth_, std::uint32_t k_, std::uint32_t tl_,
+                 std::uint32_t tr_)
+      : topo(topo_), auth(auth_), k(k_), tl(tl_), tr(tr_) {}
   TopologyKind topo;
   bool auth;
+  std::uint8_t padding[2] = {};
   std::uint32_t k, tl, tr;
 };
+static_assert(std::has_unique_object_representations_v<Cell>);
 
 class BtmSolvableCells : public ::testing::TestWithParam<Cell> {};
 

@@ -8,6 +8,8 @@
 // run_sweep(), the same engine the benches use.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "adversary/strategies.hpp"
 #include "core/oracle.hpp"
 #include "core/runner.hpp"
@@ -20,11 +22,13 @@ namespace {
 
 using net::TopologyKind;
 
+// Printed into the test names as raw bytes: there must be no padding.
 struct GridParam {
   TopologyKind topo;
   bool auth;
   Battery battery;
 };
+static_assert(std::has_unique_object_representations_v<GridParam>);
 
 class SolvabilityGrid : public ::testing::TestWithParam<GridParam> {};
 

@@ -25,6 +25,62 @@ TEST(Preferences, ValidationRejectsBadLists) {
   EXPECT_FALSE(is_valid_preference_list({2, 3, 3}, Side::Left, 2));  // too long
 }
 
+/// The allocating validator the one-word fast path replaced, verbatim.
+[[nodiscard]] bool reference_is_valid(const PreferenceList& list, Side owner_side,
+                                      std::uint32_t k) {
+  if (list.size() != k) return false;
+  std::vector<bool> seen(2 * k, false);
+  const Side target = opposite(owner_side);
+  for (PartyId id : list) {
+    if (id >= 2 * k || side_of(id, k) != target || seen[id]) return false;
+    seen[id] = true;
+  }
+  return true;
+}
+
+TEST(Preferences, ValidationMatchesReferenceOnRandomLists) {
+  // k = 32 is the last size with one seen-word (2k = 64 ids), k = 33 the
+  // first on the vector path. Lists: valid permutations, and each with one
+  // defect (duplicate, out-of-range id incl. 2k and 64, own-side id, wrong
+  // length), plus raw random ids.
+  Rng rng(0x11);
+  for (const std::uint32_t k : {1U, 3U, 32U, 33U, 100U}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const Side owner = rng.chance(0.5) ? Side::Left : Side::Right;
+      PreferenceList list = default_preference_list(owner, k);
+      rng.shuffle(list);
+      const std::uint64_t pos = rng.below(k);
+      switch (trial % 7) {
+        case 0:
+          break;
+        case 1:
+          list[pos] = list[rng.below(k)];
+          break;
+        case 2:
+          list[pos] = 2 * k + static_cast<PartyId>(rng.below(3));
+          break;
+        case 3:
+          list[pos] = rng.chance(0.5) ? 64 : UINT32_MAX;
+          break;
+        case 4:
+          list[pos] = side_members(owner, k)[rng.below(k)];
+          break;
+        case 5:
+          if (rng.chance(0.5)) {
+            list.pop_back();
+          } else {
+            list.push_back(PartyId{list[0]});
+          }
+          break;
+        default:
+          for (PartyId& id : list) id = static_cast<PartyId>(rng.below(2 * k + 2));
+      }
+      EXPECT_EQ(is_valid_preference_list(list, owner, k), reference_is_valid(list, owner, k))
+          << "k=" << k << " trial=" << trial;
+    }
+  }
+}
+
 TEST(Preferences, DefaultListIsAscendingOpposite) {
   EXPECT_EQ(default_preference_list(Side::Left, 3), (PreferenceList{3, 4, 5}));
   EXPECT_EQ(default_preference_list(Side::Right, 3), (PreferenceList{0, 1, 2}));

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "broadcast/instance.hpp"
 #include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "net/engine.hpp"
 #include "net/relay.hpp"
@@ -521,6 +523,188 @@ struct Mutant {
   engine.set_observer(nullptr);  // the observer refers to `seen`
   return seen;
 }
+
+// --------------------------------------------------- one forward per request
+
+/// The forward a relay makes of relay request `req` from `src`, encoded
+/// afresh: [kRelayFwd][src][the request after its tag].
+[[nodiscard]] Bytes fresh_forward(const Bytes& req, PartyId src) {
+  Bytes fwd{2};
+  append_u32_le(fwd, src);
+  fwd.insert(fwd.end(), req.begin() + 1, req.end());
+  return fwd;
+}
+
+/// Sends through its own router at round 0 via a shim that flips one bit
+/// of every outgoing frame's last byte (in a signed request: the tag of
+/// the sender's own signature), then routes like an honest party.
+class SignatureGarbler final : public Process {
+ public:
+  SignatureGarbler(RelayMode mode, PartyId to) : router_(mode), to_(to) {}
+
+  void on_round(Context& ctx, Inbox inbox) override {
+    struct Shim final : Context {
+      explicit Shim(Context& base) : base_(&base) {}
+      void send(PartyId to, const Payload& payload) override {
+        Bytes mutated = payload.bytes();
+        mutated.back() ^= 0x01;
+        base_->send(to, mutated);
+      }
+      [[nodiscard]] Round round() const override { return base_->round(); }
+      [[nodiscard]] PartyId self() const override { return base_->self(); }
+      [[nodiscard]] const Topology& topology() const override { return base_->topology(); }
+      [[nodiscard]] const crypto::Signer& signer() const override { return base_->signer(); }
+      [[nodiscard]] const crypto::Pki& pki() const override { return base_->pki(); }
+      Context* base_;
+    } shim(ctx);
+    (void)router_.route(ctx, inbox);
+    if (ctx.round() == 0) router_.send(shim, to_, Bytes{7, 7});
+  }
+
+ private:
+  RelayRouter router_;
+  PartyId to_;
+};
+
+/// Byzantine party that re-sends every relay request it receives, payload
+/// and all, to `targets` under its own id (the Replayer strategy, aimed).
+class RequestReplayer final : public Process {
+ public:
+  explicit RequestReplayer(std::vector<PartyId> targets) : targets_(std::move(targets)) {}
+
+  void on_round(Context& ctx, Inbox inbox) override {
+    for (const Envelope& env : inbox) {
+      if (env.payload.bytes().at(0) != 1) continue;  // relay requests only
+      for (PartyId to : targets_) ctx.send(to, env.payload);
+    }
+  }
+
+ private:
+  std::vector<PartyId> targets_;
+};
+
+TEST(RelayForward, RelaysOfOneRequestShareOneForwardPayload) {
+  // One-sided k = 4: party 0 reaches party 1 through the four R relays.
+  // Each relay's copy is the same buffer, byte-equal to a fresh encode.
+  for (const RelayMode mode : {RelayMode::UnauthMajority, RelayMode::AuthSigned}) {
+    Fixture f(4, mode);
+    f.script(0, {{0, 1, Bytes{3, 1, 4, 1, 5}}});
+    const auto seen = capture(f.engine, 3);
+    std::vector<Envelope> requests;
+    std::vector<Envelope> forwards;
+    for (const Envelope& env : seen) {
+      if (env.payload.bytes().at(0) == 1) requests.push_back(env);
+      if (env.payload.bytes().at(0) == 2 && env.to == 1) forwards.push_back(env);
+    }
+    ASSERT_EQ(requests.size(), 4U);
+    ASSERT_EQ(forwards.size(), 4U);
+    const Bytes expected = fresh_forward(requests.front().payload.bytes(), 0);
+    for (const Envelope& fwd : forwards) {
+      EXPECT_EQ(fwd.payload.data(), forwards.front().payload.data()) << "relay " << fwd.from;
+      EXPECT_EQ(fwd.payload.bytes(), expected) << "relay " << fwd.from;
+      EXPECT_EQ(fwd.payload.digest(), fnv1a64(expected)) << "relay " << fwd.from;
+    }
+    ASSERT_EQ(f.user(1).delivered().size(), 1U);
+    EXPECT_EQ(body_of(f.user(1).delivered()[0]), (Bytes{3, 1, 4, 1, 5}));
+  }
+}
+
+TEST(RelayForward, BadSignatureIsRejectedByEveryRelayOnce) {
+  for (const RelayMode mode : {RelayMode::AuthSigned, RelayMode::AuthTimed}) {
+    Fixture f(4, mode);
+    f.engine.set_corrupt(0, std::make_unique<SignatureGarbler>(mode, 1));
+    const auto seen = capture(f.engine, 4);
+    for (PartyId relay = 4; relay < 8; ++relay) {
+      EXPECT_EQ(f.user(relay).router().rejected(), 1U) << "relay " << relay;
+    }
+    EXPECT_TRUE(std::none_of(seen.begin(), seen.end(), [](const Envelope& env) {
+      return env.payload.bytes().at(0) == 2;
+    })) << "no relay may forward a badly signed request";
+    EXPECT_TRUE(f.user(1).delivered().empty());
+  }
+}
+
+TEST(RelayForward, ReplayUnderAnotherIdIsForwardedForThatSource) {
+  // Relay 4 is byzantine: it re-sends party 0's request payload to the
+  // other relays as its own. Those relays already forwarded that payload
+  // for source 0; for the replay they must build the forward for source 4
+  // (majority mode), or reject it (the signature is party 0's).
+  for (const RelayMode mode : {RelayMode::UnauthMajority, RelayMode::AuthSigned,
+                               RelayMode::AuthTimed}) {
+    Fixture f(4, mode);
+    f.script(0, {{0, 1, Bytes{2, 7, 1, 8}}});
+    f.engine.set_corrupt(4, std::make_unique<RequestReplayer>(std::vector<PartyId>{5, 6, 7}));
+    const auto seen = capture(f.engine, 5);
+    const auto request = std::find_if(seen.begin(), seen.end(), [](const Envelope& env) {
+      return env.from == 0 && env.payload.bytes().at(0) == 1;
+    });
+    ASSERT_NE(request, seen.end());
+    const Bytes& req = request->payload.bytes();
+    std::vector<Envelope> for0;
+    std::vector<Envelope> for4;
+    for (const Envelope& env : seen) {
+      if (env.payload.bytes().at(0) != 2) continue;
+      if (env.payload.bytes() == fresh_forward(req, 0)) for0.push_back(env);
+      if (env.payload.bytes() == fresh_forward(req, 4)) for4.push_back(env);
+    }
+    EXPECT_EQ(for0.size(), 3U) << "honest relays 5..7 forward the original";
+    const bool auth = mode != RelayMode::UnauthMajority;
+    EXPECT_EQ(for4.size(), auth ? 0U : 3U);
+    for (PartyId relay = 5; relay < 8; ++relay) {
+      EXPECT_EQ(f.user(relay).router().rejected(), auth ? 1U : 0U) << "relay " << relay;
+    }
+    const auto& got = f.user(1).delivered();
+    ASSERT_EQ(got.size(), auth ? 1U : 2U);
+    EXPECT_EQ(got[0].from, 0U);
+    if (!auth) EXPECT_EQ(got[1].from, 4U);
+    for (const AppMsg& msg : got) EXPECT_EQ(body_of(msg), (Bytes{2, 7, 1, 8}));
+  }
+}
+
+TEST(RelayForward, DistinctBodiesForOneKeyKeepSeparateVotes) {
+  // One-sided k = 5 (relays 5..9, majority 3): forwards for one (src, id)
+  // carrying two bodies. Neither body's votes count for the other, a
+  // relay's repeated vote counts once, and the first body to reach three
+  // distinct relays is delivered, once.
+  const Topology topo(TopologyKind::OneSided, 5);
+  const crypto::Pki pki(topo.n(), 1);
+  RelayRouter router(RelayMode::UnauthMajority);
+  ProbeContext ctx(topo, pki, /*self=*/1, /*round=*/2);
+  const auto forward = [](const Bytes& body) {
+    Writer w;
+    w.u8(2);   // RelayFwd
+    w.u32(0);  // src
+    w.u32(1);  // dst
+    w.u64(7);  // id
+    w.u32(0);  // tau
+    w.bytes(body);
+    return Payload(w.take());
+  };
+  const Bytes a{0xA};
+  const Bytes b{0xB, 0xB};
+  const Payload shared_a = forward(a);
+  const std::vector<std::pair<PartyId, Payload>> copies = {
+      {5, shared_a}, {5, shared_a}, {7, forward(b)}, {8, forward(b)}, {6, forward(a)},
+      {9, forward(b)}, {8, shared_a}};
+  std::vector<std::size_t> delivered_at;
+  std::vector<AppMsg> got;
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    const Envelope env{copies[i].first, 1, 1, copies[i].second};
+    for (AppMsg& msg : router.route(ctx, Inbox(&env, 1))) {
+      delivered_at.push_back(i);
+      got.push_back(std::move(msg));
+    }
+  }
+  ASSERT_EQ(got.size(), 1U);
+  EXPECT_EQ(delivered_at[0], 5U) << "body b reaches {7, 8, 9} first; a has only {5, 6}";
+  EXPECT_EQ(got[0].from, 0U);
+  EXPECT_EQ(body_of(got[0]), b);
+  EXPECT_EQ(got[0].keep.data(), copies[2].second.data()) << "the first copy of b is kept";
+  EXPECT_EQ(router.rejected(), 0U);
+  EXPECT_TRUE(ctx.sent.empty());
+}
+
+// ----------------------------------------------------- the mutation battery
 
 TEST(Relay, MalformedFramesAreCountedNotFatal) {
   {
