@@ -22,8 +22,7 @@ std::uint64_t Pki::tag_for(PartyId id, std::uint64_t digest) const {
 }
 
 bool Pki::verify(PartyId signer, const Bytes& msg, const Signature& sig) const {
-  if (signer >= secret_.size() || sig.signer != signer) return false;
-  return sig.tag == tag_for(signer, fnv1a64(msg));
+  return verify_digest(signer, fnv1a64(msg), sig);
 }
 
 bool Pki::verify_digest(PartyId signer, std::uint64_t digest, const Signature& sig) const {

@@ -8,7 +8,8 @@
 // run_sweep(), the same engine the benches use.
 #include <gtest/gtest.h>
 
-#include <type_traits>
+#include <ostream>
+#include <string>
 
 #include "adversary/strategies.hpp"
 #include "core/oracle.hpp"
@@ -22,13 +23,29 @@ namespace {
 
 using net::TopologyKind;
 
-// Printed into the test names as raw bytes: there must be no padding.
 struct GridParam {
   TopologyKind topo;
   bool auth;
   Battery battery;
 };
-static_assert(std::has_unique_object_representations_v<GridParam>);
+
+[[nodiscard]] std::string name_of(const GridParam& p) {
+  std::string name = net::to_string(p.topo);
+  for (auto& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  name += p.auth ? "_auth" : "_unauth";
+  switch (p.battery) {
+    case Battery::Silent: name += "_silent"; break;
+    case Battery::Noise: name += "_noise"; break;
+    case Battery::Liars: name += "_liars"; break;
+    case Battery::AdaptiveCrash: name += "_adaptive"; break;
+  }
+  return name;
+}
+
+// gtest's "# GetParam() = ..." suffix of every discovered test name.
+void PrintTo(const GridParam& p, std::ostream* os) { *os << name_of(p); }
 
 class SolvabilityGrid : public ::testing::TestWithParam<GridParam> {};
 
@@ -73,21 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GridParam{TopologyKind::Bipartite, true, Battery::Silent},
                       GridParam{TopologyKind::Bipartite, true, Battery::Noise},
                       GridParam{TopologyKind::Bipartite, true, Battery::Liars}),
-    [](const ::testing::TestParamInfo<GridParam>& info) {
-      const auto& p = info.param;
-      std::string name = net::to_string(p.topo);
-      for (auto& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      name += p.auth ? "_auth" : "_unauth";
-      switch (p.battery) {
-        case Battery::Silent: name += "_silent"; break;
-        case Battery::Noise: name += "_noise"; break;
-        case Battery::Liars: name += "_liars"; break;
-        case Battery::AdaptiveCrash: name += "_adaptive"; break;
-      }
-      return name;
-    });
+    [](const ::testing::TestParamInfo<GridParam>& info) { return name_of(info.param); });
 
 TEST(Grid, SsmViaBsmReductionHoldsEverywhere) {
   // Lemma 2 in action: run the bSM protocol on favorite-expanded inputs and

@@ -72,6 +72,8 @@ class GarblingRelay final : public Process {
       [[nodiscard]] const crypto::Signer& signer() const override { return base_->signer(); }
       [[nodiscard]] const crypto::Pki& pki() const override { return base_->pki(); }
       Context* base_;
+      Payload original_;
+      Payload garbled_;
     } shim(ctx);
     (void)router_.route(shim, inbox);
   }
@@ -526,18 +528,31 @@ struct Mutant {
 
 // --------------------------------------------------- one forward per request
 
-/// The forward a relay makes of relay request `req` from `src`, encoded
-/// afresh: [kRelayFwd][src][the request after its tag].
+/// The forward a relay makes of relay request `req` from `src`, decoded
+/// and encoded afresh: [kRelayFwd][src][dst][id][tau][body][signature?].
 [[nodiscard]] Bytes fresh_forward(const Bytes& req, PartyId src) {
-  Bytes fwd{2};
-  append_u32_le(fwd, src);
-  fwd.insert(fwd.end(), req.begin() + 1, req.end());
-  return fwd;
+  Reader r(req);
+  EXPECT_EQ(r.u8(), 1);  // RelayReq
+  const PartyId dst = r.u32();
+  const std::uint64_t id = r.u64();
+  const std::uint32_t tau = r.u32();
+  const auto body = r.bytes_view();
+  Writer w;
+  w.u8(2);  // RelayFwd
+  w.u32(src);
+  w.u32(dst);
+  w.u64(id);
+  w.u32(tau);
+  w.bytes(body);
+  if (!r.done()) crypto::Signature::decode(r).encode(w);
+  return w.take();
 }
 
 /// Sends through its own router at round 0 via a shim that flips one bit
 /// of every outgoing frame's last byte (in a signed request: the tag of
-/// the sender's own signature), then routes like an honest party.
+/// the sender's own signature), then routes like an honest party. Copies
+/// of one frame stay one shared payload, so the relays after the first
+/// meet the garbled request through the memo the first one left.
 class SignatureGarbler final : public Process {
  public:
   SignatureGarbler(RelayMode mode, PartyId to) : router_(mode), to_(to) {}
@@ -546,9 +561,13 @@ class SignatureGarbler final : public Process {
     struct Shim final : Context {
       explicit Shim(Context& base) : base_(&base) {}
       void send(PartyId to, const Payload& payload) override {
-        Bytes mutated = payload.bytes();
-        mutated.back() ^= 0x01;
-        base_->send(to, mutated);
+        if (payload.data() != original_.data()) {
+          Bytes mutated = payload.bytes();
+          mutated.back() ^= 0x01;
+          original_ = payload;
+          garbled_ = Payload(std::move(mutated));
+        }
+        base_->send(to, garbled_);
       }
       [[nodiscard]] Round round() const override { return base_->round(); }
       [[nodiscard]] PartyId self() const override { return base_->self(); }
@@ -556,6 +575,8 @@ class SignatureGarbler final : public Process {
       [[nodiscard]] const crypto::Signer& signer() const override { return base_->signer(); }
       [[nodiscard]] const crypto::Pki& pki() const override { return base_->pki(); }
       Context* base_;
+      Payload original_;
+      Payload garbled_;
     } shim(ctx);
     (void)router_.route(ctx, inbox);
     if (ctx.round() == 0) router_.send(shim, to_, Bytes{7, 7});
@@ -614,6 +635,13 @@ TEST(RelayForward, BadSignatureIsRejectedByEveryRelayOnce) {
     Fixture f(4, mode);
     f.engine.set_corrupt(0, std::make_unique<SignatureGarbler>(mode, 1));
     const auto seen = capture(f.engine, 4);
+    std::vector<const std::uint8_t*> requests;
+    for (const Envelope& env : seen) {
+      if (env.payload.bytes().at(0) == 1) requests.push_back(env.payload.data());
+    }
+    ASSERT_EQ(requests.size(), 4U);
+    EXPECT_EQ(std::count(requests.begin(), requests.end(), requests.front()), 4)
+        << "the four relays must share one garbled request payload";
     for (PartyId relay = 4; relay < 8; ++relay) {
       EXPECT_EQ(f.user(relay).router().rejected(), 1U) << "relay " << relay;
     }
